@@ -1012,70 +1012,12 @@ fn serve(w: &Workload, threads: usize, out: &Path) {
         .with_field("probe_rejected", probe.rejected);
     handle.stop();
 
-    // Epoll leg: the same seeded closed loop against the reactor backend
-    // at 10x request volume. The answer cache keeps the solver out of the
-    // hot path after warmup, so this measures the serving core itself.
-    let mut epoll_handle = cqp_server::start(
-        Arc::new(w.db.clone()),
-        cqp_server::ServerConfig {
-            backend: cqp_server::Backend::Epoll,
-            max_inflight: clients,
-            queue_cap: 0,
-            seed_users: 0,
-            ..cqp_server::ServerConfig::default()
-        },
-    )
-    .expect("epoll server start");
-    for (i, p) in w.profiles.iter().enumerate() {
-        epoll_handle
-            .state()
-            .store
-            .put(&format!("user{:04}", i + 1), p.clone());
-    }
-    let epoll_load = cqp_server::LoadConfig {
-        requests_per_client: load.requests_per_client * 10,
-        ..load.clone()
-    };
-    println!(
-        "--- serve: epoll backend, {} client(s) x {} requests against {} ---",
-        epoll_load.clients,
-        epoll_load.requests_per_client,
-        epoll_handle.addr()
-    );
-    let report_epoll = cqp_server::run_load(epoll_handle.addr(), &epoll_load).expect("epoll load");
-    println!(
-        "{:>8.1} req/s  p50 {:>6} us  p95 {:>6} us  p99 {:>6} us  \
-         ok {}  degraded {}  rejected {}  unavailable {}  errors {}",
-        report_epoll.requests_per_sec,
-        report_epoll.p50_us,
-        report_epoll.p95_us,
-        report_epoll.p99_us,
-        report_epoll.ok,
-        report_epoll.degraded,
-        report_epoll.rejected,
-        report_epoll.unavailable,
-        report_epoll.client_errors + report_epoll.server_errors + report_epoll.io_errors,
-    );
-    assert_eq!(report_epoll.io_errors, 0, "epoll leg hit socket errors");
-    assert_eq!(report_epoll.server_errors, 0, "epoll leg hit 5xx responses");
-    assert!(report_epoll.ok > 0, "epoll leg produced no 200s");
-    assert_eq!(epoll_handle.state().driver.submit_panics(), 0);
-    let obs_epoll = cqp_obs::RunReport::from_obs("serve", "load_epoll", &epoll_handle.state().obs)
-        .with_field("requests", report_epoll.requests)
-        .with_field("ok", report_epoll.ok)
-        .with_field("degraded", report_epoll.degraded);
-    epoll_handle.stop();
-
-    let conn_scale = conn_scale_leg(w);
-
     let doc = Json::obj(vec![
         ("experiment", Json::Str("serve".into())),
         ("scale", Json::Str(w.scale.name.to_string())),
         ("clients", Json::from(load.clients as u64)),
         ("seed", Json::from(load.seed)),
         ("load", report.to_json()),
-        ("load_epoll", report_epoll.to_json()),
-        ("conn_scale", conn_scale),
         ("overload_probe", probe.to_json()),
         ("server", server_json),
     ]);
@@ -1083,133 +1025,11 @@ fn serve(w: &Workload, threads: usize, out: &Path) {
     std::fs::create_dir_all(out).expect("results dir");
     std::fs::write(out.join("BENCH_serve.json"), &rendered).expect("bench write");
     std::fs::write("BENCH_serve.json", &rendered).expect("bench write");
-    write_reports(out, "serve", &[obs_report, obs_epoll]);
+    write_reports(out, "serve", &[obs_report]);
     println!(
         "BENCH_serve.json written ({} and repo root)\n",
         out.display()
     );
-}
-
-/// Connection-scale leg: a C10k-class idle-keepalive herd plus slowloris
-/// drippers and two paced request lanes, against the epoll backend.
-///
-/// Prefers a child `serverd --backend epoll` process (found next to this
-/// binary) so the herd's server-side fds live in their own process fd
-/// table; falls back to an in-process server with the target capped to
-/// what one fd table can hold (two fds per connection). The target comes
-/// from `CQP_CONN_TARGET` (default 10000).
-fn conn_scale_leg(w: &Workload) -> Json {
-    let requested: usize = std::env::var("CQP_CONN_TARGET")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(10_000);
-    let scale_config = |target: usize| cqp_server::ConnScaleConfig {
-        idle_conns: target,
-        slowloris_conns: 32,
-        drip_interval_ms: 40,
-        lanes: 2,
-        lane_rps: 50,
-        lane_requests: 100,
-        mix: cqp_server::LoadConfig {
-            users: (1..=8).map(|i| format!("user{i:04}")).collect(),
-            queries: vec!["SELECT title FROM MOVIE".to_string()],
-            ..cqp_server::LoadConfig::default()
-        },
-        reap_patience_ms: 20_000,
-        connect_burst: 128,
-    };
-
-    let serverd = std::env::current_exe()
-        .ok()
-        .and_then(|exe| exe.parent().map(|d| d.join("serverd")))
-        .filter(|p| p.is_file());
-    let (report, target, mode) = match serverd {
-        Some(bin) => {
-            let target = requested;
-            let mut child = std::process::Command::new(&bin)
-                .args(["--addr", "127.0.0.1:0", "--backend", "epoll"])
-                .args(["--read-timeout-ms", "1500", "--seed", "7"])
-                .args(["--seed-users", "8"])
-                .arg("--max-conns")
-                .arg((target + 2048).to_string())
-                .stdout(std::process::Stdio::piped())
-                .stderr(std::process::Stdio::null())
-                .spawn()
-                .expect("spawn serverd");
-            let addr = {
-                use std::io::BufRead;
-                let stdout = child.stdout.take().expect("serverd stdout");
-                let mut line = String::new();
-                std::io::BufReader::new(stdout)
-                    .read_line(&mut line)
-                    .expect("serverd banner");
-                line.strip_prefix("listening on ")
-                    .and_then(|rest| rest.split_whitespace().next())
-                    .and_then(|a| a.parse().ok())
-                    .unwrap_or_else(|| panic!("unparseable serverd banner: {line:?}"))
-            };
-            println!(
-                "--- serve: conn_scale vs child serverd at {addr} \
-                 (idle target {target}, 32 slowloris, 2 lanes) ---"
-            );
-            let report = cqp_server::run_conn_scale(addr, &scale_config(target));
-            let _ = child.kill();
-            let _ = child.wait();
-            (report.expect("conn scale run"), target, "child-process")
-        }
-        None => {
-            // Both endpoints share this process's fd table: 2 fds/conn.
-            let _ = cqp_sys::raise_nofile_limit(requested as u64 * 2 + 512);
-            let (soft, _) = cqp_sys::nofile_limit().expect("rlimit");
-            let target = requested.min((soft.saturating_sub(512) / 2) as usize);
-            let mut handle = cqp_server::start(
-                Arc::new(w.db.clone()),
-                cqp_server::ServerConfig {
-                    backend: cqp_server::Backend::Epoll,
-                    read_timeout_ms: 1_500,
-                    max_connections: target + 256,
-                    seed_users: 8,
-                    ..cqp_server::ServerConfig::default()
-                },
-            )
-            .expect("epoll server start");
-            println!(
-                "--- serve: conn_scale in-process at {} \
-                 (idle target {target}, 32 slowloris, 2 lanes) ---",
-                handle.addr()
-            );
-            let report = cqp_server::run_conn_scale(handle.addr(), &scale_config(target))
-                .expect("conn scale run");
-            handle.stop();
-            (report, target, "in-process")
-        }
-    };
-
-    println!(
-        "conn_scale [{mode}]: idle {}/{} held, {} reaped, slowloris {}/{} reaped, \
-         lane ok {}  shed {}  errors {}  open-loop p99 {} us  leaked {}",
-        report.idle_opened,
-        target,
-        report.idle_reaped,
-        report.slowloris_reaped,
-        report.slowloris_opened,
-        report.lane_ok,
-        report.lane_shed,
-        report.lane_errors,
-        report.open_loop_p99_us,
-        report.leaked(),
-    );
-    assert!(
-        report.idle_opened as usize >= target * 9 / 10,
-        "idle herd failed to establish: {report:?}"
-    );
-    assert_eq!(report.leaked(), 0, "connections leaked: {report:?}");
-    assert_eq!(
-        report.slowloris_reaped, report.slowloris_opened,
-        "{report:?}"
-    );
-    assert_eq!(report.lane_errors, 0, "{report:?}");
-    report.to_json()
 }
 
 /// One leg of the cache experiment: boots `cqp-server` with the answer
@@ -1533,7 +1353,9 @@ fn obs_experiment(w: &Workload, threads: usize, out: &Path) {
     let addr = handle.addr();
 
     // One deadline-tripped request with a client-chosen trace ID, then its
-    // span tree back out of the debug endpoint.
+    // span tree back out of the debug endpoint. Its budget (cmax + 1) is
+    // one the load mix never sends, so the answer cache cannot serve it
+    // from the exact tier: the search runs and trips the 0-ms deadline.
     let http_get = |path: &str| -> String {
         let mut stream = TcpStream::connect(addr).expect("connect");
         let head = format!("GET {path} HTTP/1.1\r\nhost: b\r\nconnection: close\r\n\r\n");
@@ -1544,9 +1366,10 @@ fn obs_experiment(w: &Workload, threads: usize, out: &Path) {
     };
     let trace_id = "deadbeef";
     let body = format!(
-        "{{\"user\":\"user0001\",\"sql\":{},\"problem\":{{\"kind\":\"p2\",\"cmax\":{cmax}}},\
+        "{{\"user\":\"user0001\",\"sql\":{},\"problem\":{{\"kind\":\"p2\",\"cmax\":{}}},\
          \"deadline_ms\":0}}",
         Json::Str(queries[0].clone()).render(),
+        cmax + 1,
     );
     {
         let mut stream = TcpStream::connect(addr).expect("connect");

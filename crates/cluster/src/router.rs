@@ -30,14 +30,14 @@
 //! primary is replaced within one probe interval even on an idle cluster.
 //!
 //! The proxy itself is deliberately plain: thread-per-connection,
-//! blocking sockets, the same HTTP/1.1 codec the server uses
-//! ([`cqp_server::http`]), with per-client-connection keep-alive reuse of
-//! backend connections for reads.
+//! blocking sockets, the same HTTP/1.1 codec and request parser the
+//! server uses ([`cqp_server::http`]), with per-client-connection
+//! keep-alive reuse of replica connections for reads.
 
 use crate::ring::Ring;
 use cqp_core::answer_cache::{fnv1a, FNV_OFFSET};
 use cqp_obs::Json;
-use cqp_server::http::{parse_request, parse_response, ClientResponse, HttpError, Request};
+use cqp_server::http::{parse_response, ClientResponse, HttpError, Request, RequestParser};
 use cqp_server::{canonicalize_sql, json};
 use rand::splitmix64_mix;
 use std::collections::HashMap;
@@ -102,7 +102,7 @@ pub struct RouterConfig {
     /// Health-probe period; also bounds how long a dead primary can go
     /// unnoticed on an idle cluster.
     pub probe_interval: Duration,
-    /// Backend connect timeout (probes, promotes, forwards).
+    /// Replica connect timeout (probes, promotes, forwards).
     pub connect_timeout: Duration,
     /// Per-group read-retry budget, in whole retries. Each sibling retry
     /// costs one token; each retry-free successful read refunds a tenth
@@ -167,7 +167,9 @@ struct Group {
     retry_millis: std::sync::atomic::AtomicI64,
     /// Retry sequence number feeding the jittered backoff.
     retry_seq: AtomicU64,
-    /// Serializes failover so concurrent write failures promote once.
+    /// Serializes failover so concurrent write failures promote once. It
+    /// guards `()`, so a panic mid-promotion leaves nothing torn and a
+    /// poisoned lock is recovered rather than wedging failover forever.
     failover: Mutex<()>,
 }
 
@@ -248,56 +250,7 @@ pub struct RouterHandle {
 /// Starts a router over `config.shards`. Returns once the listener is
 /// bound; replicas may still be booting (the probe marks them live).
 pub fn start_router(config: RouterConfig) -> io::Result<RouterHandle> {
-    if config.shards.is_empty() {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidInput,
-            "router needs at least one shard group",
-        ));
-    }
-    let mut groups = Vec::with_capacity(config.shards.len());
-    for spec in &config.shards {
-        if spec.replicas.is_empty() {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                format!("shard group {:?} has no replicas", spec.name),
-            ));
-        }
-        groups.push(Group {
-            name: spec.name.clone(),
-            replicas: spec
-                .replicas
-                .iter()
-                .map(|&addr| Replica {
-                    addr,
-                    // Optimistic: traffic can flow before the first probe
-                    // round; a dead replica is demoted on first contact.
-                    alive: AtomicBool::new(true),
-                    role: std::sync::atomic::AtomicU8::new(ROLE_UNKNOWN),
-                    epoch: AtomicU64::new(0),
-                })
-                .collect(),
-            primary: AtomicUsize::new(0),
-            reads: AtomicU64::new(0),
-            epoch: AtomicU64::new(0),
-            retry_millis: std::sync::atomic::AtomicI64::new(
-                config.retry_budget as i64 * RETRY_COST_MILLIS,
-            ),
-            retry_seq: AtomicU64::new(0),
-            failover: Mutex::new(()),
-        });
-    }
-    let names: Vec<&str> = groups.iter().map(|g| g.name.as_str()).collect();
-    let router = Arc::new(Router {
-        ring: Ring::with_groups(&names),
-        groups,
-        policy: config.policy,
-        stats: RouterStats::default(),
-        connect_timeout: config.connect_timeout,
-        retry_cap_millis: config.retry_budget as i64 * RETRY_COST_MILLIS,
-        retry_seed: config.retry_seed,
-        stopping: AtomicBool::new(false),
-    });
-
+    let router = Arc::new(Router::new(&config)?);
     let listener = TcpListener::bind(&config.addr)?;
     let addr = listener.local_addr()?;
 
@@ -374,6 +327,59 @@ impl Drop for RouterHandle {
 }
 
 impl Router {
+    /// The routing core over `config.shards`: no sockets, no threads.
+    fn new(config: &RouterConfig) -> io::Result<Router> {
+        if config.shards.is_empty() {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                "router needs at least one shard group",
+            ));
+        }
+        let mut groups = Vec::with_capacity(config.shards.len());
+        for spec in &config.shards {
+            if spec.replicas.is_empty() {
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidInput,
+                    format!("shard group {:?} has no replicas", spec.name),
+                ));
+            }
+            groups.push(Group {
+                name: spec.name.clone(),
+                replicas: spec
+                    .replicas
+                    .iter()
+                    .map(|&addr| Replica {
+                        addr,
+                        // Optimistic: traffic can flow before the first probe
+                        // round; a dead replica is demoted on first contact.
+                        alive: AtomicBool::new(true),
+                        role: std::sync::atomic::AtomicU8::new(ROLE_UNKNOWN),
+                        epoch: AtomicU64::new(0),
+                    })
+                    .collect(),
+                primary: AtomicUsize::new(0),
+                reads: AtomicU64::new(0),
+                epoch: AtomicU64::new(0),
+                retry_millis: std::sync::atomic::AtomicI64::new(
+                    config.retry_budget as i64 * RETRY_COST_MILLIS,
+                ),
+                retry_seq: AtomicU64::new(0),
+                failover: Mutex::new(()),
+            });
+        }
+        let names: Vec<&str> = groups.iter().map(|g| g.name.as_str()).collect();
+        Ok(Router {
+            ring: Ring::with_groups(&names),
+            groups,
+            policy: config.policy,
+            stats: RouterStats::default(),
+            connect_timeout: config.connect_timeout,
+            retry_cap_millis: config.retry_budget as i64 * RETRY_COST_MILLIS,
+            retry_seed: config.retry_seed,
+            stopping: AtomicBool::new(false),
+        })
+    }
+
     /// The read-routing policy in force.
     pub fn policy(&self) -> RoutingPolicy {
         self.policy
@@ -453,7 +459,7 @@ impl Router {
                 group.primary.store(claimants[0], Ordering::SeqCst);
             }
             _ => {
-                let _guard = group.failover.lock().unwrap();
+                let _guard = group.failover.lock().unwrap_or_else(|p| p.into_inner());
                 let winner = *claimants
                     .iter()
                     .max_by_key(|&&i| {
@@ -492,7 +498,7 @@ impl Router {
         }
         // Serialize promotion; re-check under the lock so racing writers
         // perform (and count) one failover, not two.
-        let _guard = group.failover.lock().unwrap();
+        let _guard = group.failover.lock().unwrap_or_else(|p| p.into_inner());
         let current = group.primary.load(Ordering::SeqCst);
         if group.replicas[current].alive.load(Ordering::SeqCst) {
             return Some(current);
@@ -521,7 +527,7 @@ impl Router {
     }
 
     /// Routes one request, producing the response to relay.
-    fn route(&self, req: &Request, backends: &mut BackendPool) -> ClientResponse {
+    fn route(&self, req: &Request, backends: &mut UpstreamPool) -> ClientResponse {
         let segments = req.segments();
         match (req.method.as_str(), segments.as_slice()) {
             ("GET", ["healthz", "live"]) => local_json(
@@ -605,7 +611,7 @@ impl Router {
         &self,
         req: &Request,
         user: &str,
-        backends: &mut BackendPool,
+        backends: &mut UpstreamPool,
     ) -> ClientResponse {
         self.stats.reads.fetch_add(1, Ordering::Relaxed);
         let group = self.group_for(user);
@@ -614,7 +620,7 @@ impl Router {
     }
 
     /// Personalize: group by the `user` in the body, replica by policy.
-    fn route_personalize(&self, req: &Request, backends: &mut BackendPool) -> ClientResponse {
+    fn route_personalize(&self, req: &Request, backends: &mut UpstreamPool) -> ClientResponse {
         let Some((user, sql)) = personalize_fields(&req.body) else {
             self.stats.rejected.fetch_add(1, Ordering::Relaxed);
             return local_error(
@@ -653,7 +659,7 @@ impl Router {
         req: &Request,
         group: &Group,
         preferred: usize,
-        backends: &mut BackendPool,
+        backends: &mut UpstreamPool,
     ) -> ClientResponse {
         let n = group.replicas.len();
         let mut attempted = false;
@@ -775,34 +781,30 @@ impl Router {
     }
 }
 
-/// Per-client-connection pool of keep-alive backend connections, used
+/// Per-client-connection pool of keep-alive replica connections, used
 /// for reads only (writes always get a fresh connection).
-type BackendPool = HashMap<SocketAddr, TcpStream>;
+type UpstreamPool = HashMap<SocketAddr, TcpStream>;
 
 /// One client connection: parse → route → relay, keep-alive aware.
 fn handle_connection(router: &Router, stream: TcpStream) {
     let _ = stream.set_nodelay(true);
     // A wedged client should not pin a router thread forever.
     let _ = stream.set_read_timeout(Some(Duration::from_secs(30)));
-    let mut writer = match stream.try_clone() {
-        Ok(w) => w,
-        Err(_) => return,
-    };
-    let mut reader = BufReader::new(stream);
-    let mut backends: BackendPool = BackendPool::new();
+    let mut parser = RequestParser::new();
+    let mut backends: UpstreamPool = UpstreamPool::new();
     loop {
-        let req = match parse_request(&mut reader) {
+        let req = match parser.read_request(&mut &stream) {
             Ok(req) => req,
             Err(HttpError::ConnectionClosed) => return,
             Err(_) => {
                 let resp = local_error(400, "bad_request", "malformed HTTP request");
-                let _ = write_client_response(&mut writer, &resp, false);
+                let _ = write_client_response(&mut &stream, &resp, false);
                 return;
             }
         };
         let keep_alive = req.keep_alive;
         let resp = router.route(&req, &mut backends);
-        if write_client_response(&mut writer, &resp, keep_alive).is_err() || !keep_alive {
+        if write_client_response(&mut &stream, &resp, keep_alive).is_err() || !keep_alive {
             return;
         }
     }
@@ -913,7 +915,7 @@ fn forward_fresh(addr: SocketAddr, req: &Request, timeout: Duration) -> io::Resu
 /// transparently replacing a stale one (reads only — a retried write
 /// could double-apply).
 fn forward_reused(
-    backends: &mut BackendPool,
+    backends: &mut UpstreamPool,
     addr: SocketAddr,
     req: &Request,
     connect_timeout: Duration,
@@ -1050,4 +1052,58 @@ fn local_error(status: u16, code: &'static str, message: impl Into<String>) -> C
 
 fn http_to_io(e: HttpError) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, e.to_string())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A replica that answers exactly one `POST /admin/promote` as a
+    /// freshly promoted primary at the requested epoch.
+    fn promotable_replica() -> (SocketAddr, JoinHandle<()>) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let replica = thread::spawn(move || {
+            let (stream, _) = listener.accept().unwrap();
+            let req = RequestParser::new().read_request(&mut &stream).unwrap();
+            assert_eq!(req.path, "/admin/promote?epoch=1");
+            let body = Json::obj(vec![
+                ("role", Json::from("primary")),
+                ("epoch", Json::from(1u64)),
+            ]);
+            write_client_response(&mut &stream, &local_json(200, body), false).unwrap();
+        });
+        (addr, replica)
+    }
+
+    #[test]
+    fn failover_still_promotes_after_the_group_lock_is_poisoned() {
+        let dead = TcpListener::bind("127.0.0.1:0")
+            .unwrap()
+            .local_addr()
+            .unwrap();
+        let (live, replica) = promotable_replica();
+        let router = Router::new(&RouterConfig {
+            shards: vec![ShardSpec {
+                name: "g0".into(),
+                replicas: vec![dead, live],
+            }],
+            ..RouterConfig::default()
+        })
+        .unwrap();
+        let group = &router.groups[0];
+        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _guard = group.failover.lock().unwrap();
+            panic!("promotion panicked while holding the failover lock");
+        }));
+        assert!(panicked.is_err());
+        assert!(group.failover.is_poisoned());
+
+        group.replicas[0].alive.store(false, Ordering::SeqCst);
+        assert_eq!(router.ensure_primary(group), Some(1));
+        assert_eq!(group.primary.load(Ordering::SeqCst), 1);
+        assert_eq!(group.epoch.load(Ordering::SeqCst), 1);
+        assert_eq!(router.stats.failovers.load(Ordering::Relaxed), 1);
+        replica.join().unwrap();
+    }
 }

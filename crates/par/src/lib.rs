@@ -21,8 +21,8 @@
 //!   which task, so parallel callers observe sequential output shapes.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 use std::thread;
 
 /// Hard cap on pool width; far above any machine this workspace targets.
@@ -201,148 +201,6 @@ impl ThreadPool {
     }
 }
 
-/// A boxed unit of work for the resident [`Executor`].
-type Job = Box<dyn FnOnce() + Send + 'static>;
-
-#[derive(Default)]
-struct ExecQueue {
-    jobs: VecDeque<Job>,
-    stop: bool,
-}
-
-struct ExecShared {
-    queue: Mutex<ExecQueue>,
-    available: Condvar,
-    executed: AtomicU64,
-    stopping: AtomicBool,
-}
-
-/// A resident worker pool with a `spawn` API, complementing the
-/// fork-join [`ThreadPool`]: the epoll serving backend's reactors are
-/// latency-critical and must never run solver work inline, so they hand
-/// complete requests here and keep polling. Workers live until
-/// [`Executor::shutdown`] (which drains nothing: queued jobs submitted
-/// before the stop flag still run, then every worker is joined).
-pub struct Executor {
-    shared: Arc<ExecShared>,
-    workers: Mutex<Vec<thread::JoinHandle<()>>>,
-    threads: usize,
-}
-
-impl std::fmt::Debug for Executor {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Executor")
-            .field("threads", &self.threads)
-            .field("executed", &self.executed())
-            .finish()
-    }
-}
-
-impl Executor {
-    /// A pool of `threads` resident workers (at least 1).
-    pub fn new(threads: usize) -> Executor {
-        let threads = threads.max(1);
-        let shared = Arc::new(ExecShared {
-            queue: Mutex::new(ExecQueue::default()),
-            available: Condvar::new(),
-            executed: AtomicU64::new(0),
-            stopping: AtomicBool::new(false),
-        });
-        let workers = (0..threads)
-            .map(|_| {
-                let shared = Arc::clone(&shared);
-                thread::spawn(move || loop {
-                    let job = {
-                        let mut q = shared.queue.lock().unwrap_or_else(|p| p.into_inner());
-                        loop {
-                            if let Some(job) = q.jobs.pop_front() {
-                                break Some(job);
-                            }
-                            if q.stop {
-                                break None;
-                            }
-                            q = shared.available.wait(q).unwrap_or_else(|p| p.into_inner());
-                        }
-                    };
-                    match job {
-                        Some(job) => {
-                            job();
-                            shared.executed.fetch_add(1, Ordering::Relaxed);
-                        }
-                        None => return,
-                    }
-                })
-            })
-            .collect();
-        Executor {
-            shared,
-            workers: Mutex::new(workers),
-            threads,
-        }
-    }
-
-    /// The worker count.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// Enqueues a job. Returns false (dropping the job) once shutdown has
-    /// begun — callers treat that as the work being cancelled.
-    pub fn spawn(&self, job: impl FnOnce() + Send + 'static) -> bool {
-        if self.shared.stopping.load(Ordering::Acquire) {
-            return false;
-        }
-        {
-            let mut q = self.shared.queue.lock().unwrap_or_else(|p| p.into_inner());
-            if q.stop {
-                return false;
-            }
-            q.jobs.push_back(Box::new(job));
-        }
-        self.shared.available.notify_one();
-        true
-    }
-
-    /// Jobs waiting for a worker.
-    pub fn queued(&self) -> usize {
-        self.shared
-            .queue
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .jobs
-            .len()
-    }
-
-    /// Jobs completed across this executor's lifetime.
-    pub fn executed(&self) -> u64 {
-        self.shared.executed.load(Ordering::Relaxed)
-    }
-
-    /// Stops accepting work, lets already-queued jobs finish, and joins
-    /// every worker. Idempotent.
-    pub fn shutdown(&self) {
-        self.shared.stopping.store(true, Ordering::Release);
-        {
-            let mut q = self.shared.queue.lock().unwrap_or_else(|p| p.into_inner());
-            q.stop = true;
-        }
-        self.shared.available.notify_all();
-        let handles: Vec<_> = {
-            let mut w = self.workers.lock().unwrap_or_else(|p| p.into_inner());
-            w.drain(..).collect()
-        };
-        for h in handles {
-            let _ = h.join();
-        }
-    }
-}
-
-impl Drop for Executor {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -397,31 +255,6 @@ mod tests {
         assert_eq!(worker_span_name(31), "worker31");
         assert_eq!(worker_span_name(99), "worker31");
         assert!(available_parallelism() >= 1);
-    }
-
-    #[test]
-    fn executor_runs_spawned_jobs_and_joins_on_shutdown() {
-        let exec = Executor::new(2);
-        let hits = Arc::new(AtomicU64::new(0));
-        for _ in 0..64 {
-            let hits = Arc::clone(&hits);
-            assert!(exec.spawn(move || {
-                hits.fetch_add(1, Ordering::Relaxed);
-            }));
-        }
-        exec.shutdown();
-        // Queued-before-stop jobs all ran; nothing was dropped.
-        assert_eq!(hits.load(Ordering::Relaxed), 64);
-        assert_eq!(exec.executed(), 64);
-        // Post-shutdown spawns are refused.
-        assert!(!exec.spawn(|| {}));
-        // Idempotent.
-        exec.shutdown();
-    }
-
-    #[test]
-    fn executor_width_is_clamped() {
-        assert_eq!(Executor::new(0).threads(), 1);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! ```text
 //! serverd --addr 127.0.0.1:9142 --wal-dir /tmp/cqp-wal --seed 42 [--seed-users 8]
 //!         [--trace-sample N] [--slo-ms N] [--chrome-trace PATH]
-//!         [--backend threaded|epoll] [--read-timeout-ms N] [--max-conns N]
+//!         [--read-timeout-ms N] [--max-conns N]
 //!         [--repl-listen HOST:PORT | --follow HOST:PORT]
 //! ```
 //!
@@ -18,10 +18,9 @@
 //! fails the follower over (see `cqp_server::repl`). `serverd --help`
 //! documents every flag.
 //!
-//! `--backend` picks the serving core (defaults to `CQP_SERVER_BACKEND`,
-//! then `threaded`); the connection-scale bench boots `--backend epoll`
-//! as a child process so the 10k-connection herd lives in its own fd
-//! table.
+//! The serving core is one handler thread per connection; `--max-conns`
+//! caps how many are served at once (connections over the cap are closed
+//! on accept).
 //!
 //! `--chrome-trace PATH` periodically dumps the trace retention ring as a
 //! Chrome trace-event document (loadable in `chrome://tracing` or
@@ -29,7 +28,7 @@
 //! sees a torn JSON file.
 
 use cqp_obs::reqtrace::traces_to_chrome;
-use cqp_server::{start, Backend, ServerConfig};
+use cqp_server::{start, ServerConfig};
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
@@ -87,13 +86,6 @@ fn main() {
             "--no-answer-cache" => config.answer_cache = false,
             "--repl-listen" => config.repl_listen = Some(value("--repl-listen")),
             "--follow" => config.follow = Some(value("--follow")),
-            "--backend" => {
-                let v = value("--backend");
-                config.backend = Backend::parse(&v).unwrap_or_else(|| {
-                    eprintln!("serverd: --backend must be 'threaded' or 'epoll'");
-                    std::process::exit(2);
-                })
-            }
             "--read-timeout-ms" => {
                 config.read_timeout_ms = value("--read-timeout-ms").parse().unwrap_or_else(|_| {
                     eprintln!("serverd: --read-timeout-ms must be an integer");
@@ -114,8 +106,8 @@ fn main() {
                      \n\
                      serving:\n\
                      \x20 --addr HOST:PORT         bind address (default 127.0.0.1:0 = ephemeral port)\n\
-                     \x20 --backend threaded|epoll serving core (default $CQP_SERVER_BACKEND, then threaded)\n\
-                     \x20 --max-conns N            epoll backend: most connections held open at once\n\
+                     \x20 --max-conns N            most connections served at once (one thread each);\n\
+                     \x20                          connections over the cap are closed on accept\n\
                      \x20 --read-timeout-ms N      per-request read deadline / keep-alive idle timeout\n\
                      \n\
                      data:\n\
@@ -154,17 +146,6 @@ fn main() {
         }
     }
     config.seed = db_seed;
-    if config.backend == Backend::Epoll {
-        // A C10k herd needs fd headroom: one fd per connection plus the
-        // reactor plumbing. Best effort — the kernel hard cap rules.
-        let want = (config.max_connections as u64)
-            .saturating_mul(2)
-            .saturating_add(64);
-        let got = cqp_sys::raise_nofile_limit(want).unwrap_or(0);
-        if got < want {
-            eprintln!("serverd: nofile limit {got} < requested {want}; large herds may shed");
-        }
-    }
     let db = Arc::new(cqp_datagen::generate_movie_db(
         &cqp_datagen::MovieDbConfig::tiny(db_seed),
     ));

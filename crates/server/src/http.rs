@@ -1,13 +1,17 @@
-//! A minimal HTTP/1.1 codec over blocking streams.
+//! A minimal HTTP/1.1 codec.
 //!
 //! Only what the serving layer needs: request-line + headers +
 //! `Content-Length` bodies (no chunked encoding, no TLS, no HTTP/2), with
 //! hard limits on header and body size so a misbehaving client cannot make
-//! the server allocate unboundedly. Every malformed input maps to a typed
-//! [`HttpError`] the router turns into a 4xx — parsing never panics.
+//! the server allocate unboundedly. Requests are read by one incremental
+//! parser, [`RequestParser`], fed from socket reads; every malformed input
+//! maps to a typed [`HttpError`] the router turns into a 4xx — parsing
+//! never panics.
 
-use std::io::{self, BufRead, Write};
+use std::io::{self, BufRead, Read, Write};
 
+/// Bytes requested from the socket per [`RequestParser::read_from`].
+const READ_CHUNK: usize = 8 * 1024;
 /// Longest accepted request line + headers, bytes.
 pub const MAX_HEAD_BYTES: usize = 16 * 1024;
 /// Largest accepted request body, bytes.
@@ -98,7 +102,7 @@ impl Request {
 }
 
 /// Strips trailing `\n`/`\r` bytes and decodes lossily — the one line
-/// normalization both parsers share.
+/// normalization the request and response parsers share.
 fn finish_line(line: &[u8]) -> String {
     let mut end = line.len();
     while end > 0 && (line[end - 1] == b'\n' || line[end - 1] == b'\r') {
@@ -179,45 +183,6 @@ fn read_line<R: BufRead>(reader: &mut R, budget: &mut usize) -> Result<Option<St
     Ok(Some(finish_line(&line)))
 }
 
-/// Parses one request from `reader`. Blocks until a full head (and body,
-/// when declared) arrives or the connection closes.
-pub fn parse_request<R: BufRead>(reader: &mut R) -> Result<Request, HttpError> {
-    let mut budget = MAX_HEAD_BYTES;
-    let request_line = match read_line(reader, &mut budget)? {
-        None => return Err(HttpError::ConnectionClosed),
-        Some(l) => l,
-    };
-    let (method, path, mut keep_alive) = parse_request_line(request_line)?;
-
-    let mut headers = Vec::new();
-    loop {
-        let line = match read_line(reader, &mut budget)? {
-            None => return Err(HttpError::ConnectionClosed),
-            Some(l) => l,
-        };
-        if line.is_empty() {
-            break;
-        }
-        headers.push(parse_header_line(line, &mut keep_alive)?);
-    }
-
-    let body = match declared_body_len(&method, &headers)? {
-        0 => Vec::new(),
-        n => {
-            let mut body = vec![0u8; n];
-            reader.read_exact(&mut body)?;
-            body
-        }
-    };
-    Ok(Request {
-        method,
-        path,
-        headers,
-        body,
-        keep_alive,
-    })
-}
-
 /// How far an incremental parse has progressed through one request.
 #[derive(Debug)]
 enum ParsePhase {
@@ -240,16 +205,18 @@ enum ParsePhase {
     },
 }
 
-/// An incremental (resumable) request parser for readiness-driven I/O.
+/// The incremental (resumable) request parser every request is read
+/// through.
 ///
-/// The epoll backend reads whatever fragment the socket has and calls
-/// [`RequestParser::feed`] + [`RequestParser::try_next`]; the parser
-/// consumes bytes as lines complete and yields a [`Request`] exactly when
-/// the blocking [`parse_request`] would have, with byte-for-byte identical
-/// results and identical typed errors **regardless of how the input is
-/// fragmented** (the `http_fuzz` suite replays every corpus at every split
-/// point to prove it). Pipelined requests are supported: leftover bytes
-/// stay buffered for the next `try_next`.
+/// A connection owns one parser and feeds it whatever fragment each
+/// socket read returns ([`RequestParser::read_from`] or
+/// [`RequestParser::feed`]), then polls [`RequestParser::try_next`]; the
+/// parser consumes bytes as lines complete and yields a [`Request`] as
+/// soon as one is whole. Results and typed errors are identical
+/// **regardless of how the input is fragmented** (the `http_fuzz` suite
+/// replays every corpus at every split point against a whole-buffer feed
+/// to prove it). Pipelined requests are supported: leftover bytes stay
+/// buffered for the next `try_next`.
 #[derive(Debug)]
 pub struct RequestParser {
     buf: Vec<u8>,
@@ -293,9 +260,38 @@ impl RequestParser {
         self.buf.extend_from_slice(bytes);
     }
 
+    /// Reads once from `src` straight into the parse buffer and returns
+    /// the byte count; 0 means the peer closed its write half. Socket
+    /// errors, including read timeouts, surface unchanged.
+    pub fn read_from<R: Read>(&mut self, src: &mut R) -> io::Result<usize> {
+        let len = self.buf.len();
+        self.buf.resize(len + READ_CHUNK, 0);
+        let read = loop {
+            match src.read(&mut self.buf[len..]) {
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                r => break r,
+            }
+        };
+        self.buf.truncate(len + *read.as_ref().unwrap_or(&0));
+        read
+    }
+
+    /// Blocks on `src` until one request completes. A peer close yields
+    /// [`RequestParser::eof_error`]; a failed read yields `Io`.
+    pub fn read_request<R: Read>(&mut self, src: &mut R) -> Result<Request, HttpError> {
+        loop {
+            if let Some(req) = self.try_next()? {
+                return Ok(req);
+            }
+            if self.read_from(src)? == 0 {
+                return Err(self.eof_error());
+            }
+        }
+    }
+
     /// Unconsumed bytes currently buffered (a nonzero value between
     /// requests means a pipelined request is already arriving).
-    pub fn buffered(&self) -> usize {
+    fn buffered(&self) -> usize {
         self.buf.len() - self.start
     }
 
@@ -304,9 +300,9 @@ impl RequestParser {
         self.buffered() > 0 || !matches!(self.phase, ParsePhase::RequestLine)
     }
 
-    /// The error the blocking parser would report if the peer closed the
-    /// connection right now: `Io(UnexpectedEof)` mid-body, otherwise
-    /// `ConnectionClosed` (which is also the clean between-requests EOF).
+    /// The error a peer close right now means: `Io(UnexpectedEof)`
+    /// mid-body, otherwise `ConnectionClosed` (which is also the clean
+    /// between-requests EOF).
     pub fn eof_error(&self) -> HttpError {
         match self.phase {
             ParsePhase::Body { .. } => HttpError::Io(io::ErrorKind::UnexpectedEof),
@@ -316,8 +312,8 @@ impl RequestParser {
 
     /// Advances the parse as far as the buffered bytes allow. Returns
     /// `Ok(Some(request))` when one request completed, `Ok(None)` when
-    /// more bytes are needed, or the same typed error [`parse_request`]
-    /// would produce. Errors are sticky and terminal.
+    /// more bytes are needed, or the typed error the bytes amount to.
+    /// Errors are sticky and terminal.
     pub fn try_next(&mut self) -> Result<Option<Request>, HttpError> {
         if let Some(e) = &self.failed {
             return Err(e.clone());
@@ -364,9 +360,8 @@ impl RequestParser {
             // Head phase: hunt for the next newline from the resume point.
             let Some(rel) = self.buf[self.scan..].iter().position(|&b| b == b'\n') else {
                 self.scan = self.buf.len();
-                // The blocking parser consumes partial-line bytes as they
-                // arrive and trips the head budget as soon as cumulative
-                // consumption would exceed it — even mid-line.
+                // A partial line counts against the head budget as it
+                // arrives, so a head that never sends a newline trips it.
                 if self.head_bytes + (self.scan - self.line_start) > MAX_HEAD_BYTES {
                     return Err(HttpError::HeadTooLarge);
                 }
@@ -401,8 +396,7 @@ impl RequestParser {
                 } => {
                     if line.is_empty() {
                         // Head complete: the body plan (and its typed
-                        // errors) is decided here, same as the blocking
-                        // parser deciding it right after the header loop.
+                        // errors) is decided here.
                         let body_len = declared_body_len(&method, &headers)?;
                         self.phase = ParsePhase::Body {
                             method,
@@ -615,7 +609,7 @@ mod tests {
     use std::io::BufReader;
 
     fn parse(text: &str) -> Result<Request, HttpError> {
-        parse_request(&mut BufReader::new(text.as_bytes()))
+        RequestParser::new().read_request(&mut text.as_bytes())
     }
 
     #[test]

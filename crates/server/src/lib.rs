@@ -10,7 +10,8 @@
 //! Layers, bottom up:
 //!
 //! * [`http`] — a minimal HTTP/1.1 codec over `std::net` (no TLS, no
-//!   chunking), with hard head/body limits and typed parse errors.
+//!   chunking): one incremental request parser, hard head/body limits,
+//!   and typed parse errors.
 //! * [`json`] — a bounded recursive-descent parser producing the same
 //!   [`Json`](cqp_obs::Json) tree `cqp-obs` renders, so the server reads
 //!   and writes one JSON dialect.
@@ -20,7 +21,8 @@
 //!   via the `# cqp-profile v1` wire format and live across requests.
 //! * [`admission`] — bounded-queue admission control: predictable 429/503
 //!   shedding instead of unbounded queueing.
-//! * [`server`] — the router and request lifecycle, mapping HTTP requests
+//! * [`server`] — the thread-per-connection serving core: accept loop,
+//!   connection cap, request lifecycle and routing, mapping HTTP requests
 //!   onto [`BatchDriver::submit`](cqp_core::prelude::BatchDriver) with
 //!   per-request deadlines ([`Budget`](cqp_core::prelude::Budget)).
 //! * [`wal`] — the append-only, checksummed write-ahead log that makes
@@ -41,11 +43,9 @@
 pub mod admission;
 pub mod canon;
 pub mod chaos;
-pub mod connscale;
 pub mod http;
 pub mod json;
 pub mod loadgen;
-pub(crate) mod reactor;
 pub mod repl;
 pub mod server;
 pub mod session;
@@ -55,12 +55,11 @@ pub mod wal;
 pub use admission::{AdmissionController, AdmissionError, Permit};
 pub use canon::{canonicalize_sql, template_hash};
 pub use chaos::{run_chaos, ChaosConfig, ChaosMode, ChaosOutcome, ChaosReport};
-pub use connscale::{run_conn_scale, ConnScaleConfig, ConnScaleReport};
 pub use loadgen::{
     overload_probe, run_load, run_load_targets, LoadConfig, LoadReport, ProbeReport,
 };
 pub use repl::{Repl, Role};
-pub use server::{start, Backend, ServerConfig, ServerHandle, ServerState};
+pub use server::{start, ServerConfig, ServerHandle, ServerState};
 pub use session::{SessionStore, StoredProfile, UpsertMode, WriteListener};
 pub use telemetry::{Telemetry, DEADLINE_REMAINING_HEADER, TRACE_ID_HEADER};
 pub use wal::{OpenedWal, PutRecord, RecoveryReport, Wal};

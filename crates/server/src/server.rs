@@ -1,8 +1,11 @@
 //! The HTTP front-end: routing, request validation, and lifecycle.
 //!
-//! One accept loop, one thread per connection (bounded in practice by the
+//! One accept loop, one thread per connection, at most
+//! [`ServerConfig::max_connections`] at once (beyond the cap a connection
+//! is closed on accept). Solver work is bounded separately by the
 //! admission gate: connections are cheap, *solver slots* are the scarce
-//! resource). Every handler failure maps to a typed JSON error — the
+//! resource. Each connection owns one [`RequestParser`] fed from its
+//! socket reads. Every handler failure maps to a typed JSON error — the
 //! personalization pipeline's own taxonomy ([`CqpError`]) decides between
 //! 4xx and 5xx, and malformed requests can never surface as a 500.
 //!
@@ -18,13 +21,15 @@
 //!
 //! ## Hostile-client defenses
 //!
-//! Each connection gets a read deadline (a slowloris head answers `408`),
-//! a write timeout (a client that stops reading cannot wedge a handler),
-//! and a request-count cap. A connection that never produces a parseable
-//! request is reaped, not answered.
+//! Each connection gets a read deadline — first buffered byte of a
+//! request plus `read_timeout_ms`, so a slowloris head answers `408` — an
+//! idle timeout between requests (reaped silently), a write timeout (a
+//! client that stops reading cannot wedge a handler), and a request-count
+//! cap. Both clocks are checked on every 25 ms read tick. A
+//! connection that closes mid-request is reaped, not answered.
 
 use crate::admission::{AdmissionController, AdmissionError};
-use crate::http::{parse_request, HttpError, Request, Response};
+use crate::http::{HttpError, Request, RequestParser, Response};
 use crate::json;
 use crate::session::{SessionStore, UpsertMode};
 use crate::telemetry::{Telemetry, DEADLINE_REMAINING_HEADER, TRACE_ID_HEADER};
@@ -39,79 +44,23 @@ use cqp_obs::reqtrace::{traces_to_chrome, traces_to_json, RequestRecorder, Trace
 use cqp_obs::{Json, Obs, Recorder};
 use cqp_prefs::Doi;
 use cqp_storage::{Database, IoMeter};
-use std::io::{BufRead, BufReader, Read};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// How often blocked reads wake up to re-check lifecycle and deadlines.
 const POLL_MS: u64 = 25;
 
-/// Which serving backend owns sockets and request reads.
-///
-/// Both backends route through the same handler, admission gate, solver
-/// driver, caches, and telemetry — the `backend_differential` suite holds
-/// them to bit-identical answers. The env var `CQP_SERVER_BACKEND`
-/// (`threaded` | `epoll`) overrides the default, which is how CI runs
-/// every socket-level suite against both without duplicating tests.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Backend {
-    /// One blocking handler thread per connection (the portable
-    /// baseline).
-    #[default]
-    Threaded,
-    /// A readiness-driven epoll reactor pool (Linux; C10k-capable).
-    Epoll,
-}
-
-impl Backend {
-    /// Stable lowercase tag for configs, reports, and `/metrics`.
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            Backend::Threaded => "threaded",
-            Backend::Epoll => "epoll",
-        }
-    }
-
-    /// Parses the wire/CLI spelling.
-    pub fn parse(s: &str) -> Option<Backend> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "threaded" => Some(Backend::Threaded),
-            "epoll" => Some(Backend::Epoll),
-            _ => None,
-        }
-    }
-
-    /// The backend `CQP_SERVER_BACKEND` selects, or `Threaded`.
-    pub fn from_env() -> Backend {
-        std::env::var("CQP_SERVER_BACKEND")
-            .ok()
-            .and_then(|v| Backend::parse(&v))
-            .unwrap_or_default()
-    }
-}
-
 /// Tunables for [`start`].
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
     /// Bind address; port 0 picks an ephemeral port.
     pub addr: String,
-    /// Which serving backend owns sockets ([`Backend::from_env`] by
-    /// default, so suites and benches can flip it without code changes).
-    pub backend: Backend,
-    /// Reactor (event-loop) threads for the epoll backend; reactor 0
-    /// additionally owns the listener.
-    pub reactor_threads: usize,
-    /// Resident solver-worker threads for the epoll backend. `0` sizes
-    /// the pool to `max_inflight + queue_cap + 2`, so the admission gate
-    /// — not the worker pool — stays the shedding bottleneck, exactly as
-    /// in the thread-per-connection backend.
-    pub worker_threads: usize,
-    /// Most connections the epoll backend holds open at once; accepts
-    /// beyond the cap are closed immediately.
+    /// Most connections served at once; the accept loop closes any
+    /// connection over the cap immediately (`server.over_capacity`).
     pub max_connections: usize,
     /// Concurrent personalization executions admitted.
     pub max_inflight: usize,
@@ -188,9 +137,6 @@ impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
             addr: "127.0.0.1:0".to_string(),
-            backend: Backend::from_env(),
-            reactor_threads: 2,
-            worker_threads: 0,
             max_connections: 16_384,
             max_inflight: std::thread::available_parallelism().map_or(2, usize::from),
             queue_cap: 32,
@@ -277,11 +223,11 @@ pub struct ServerState {
     /// Replication role + counters, when this process is part of a
     /// primary/follower pair (`config.repl_listen` / `config.follow`).
     pub repl: Option<Arc<crate::repl::Repl>>,
-    pub(crate) config: ServerConfig,
+    config: ServerConfig,
     started: Instant,
-    pub(crate) phase: AtomicU8,
-    pub(crate) active_conns: AtomicUsize,
-    pub(crate) drain_rejected: AtomicU64,
+    phase: AtomicU8,
+    active_conns: AtomicUsize,
+    drain_rejected: AtomicU64,
 }
 
 impl ServerState {
@@ -317,16 +263,6 @@ impl Drop for ConnGuard<'_> {
     }
 }
 
-/// A [`Read`] wrapper that converts the socket's short poll timeout into
-/// either an indefinite poll (no deadline: `WouldBlock` surfaces to the
-/// caller) or a hard per-request deadline (`TimedOut` once it passes).
-/// Living *below* the `BufReader` means a deadline can span many reads of
-/// one request without losing buffered progress.
-struct TimedStream {
-    inner: TcpStream,
-    deadline: Arc<Mutex<Option<Instant>>>,
-}
-
 /// The socket-level poll timeout surfaces as `WouldBlock` or `TimedOut`
 /// depending on platform; treat them alike.
 fn is_poll_timeout(e: &std::io::Error) -> bool {
@@ -334,33 +270,6 @@ fn is_poll_timeout(e: &std::io::Error) -> bool {
         e.kind(),
         std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
     )
-}
-
-impl Read for TimedStream {
-    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        loop {
-            match self.inner.read(buf) {
-                Err(e) if is_poll_timeout(&e) => {
-                    let deadline = *self.deadline.lock().unwrap_or_else(|p| p.into_inner());
-                    match deadline {
-                        // No deadline set: the caller is idle-polling and
-                        // wants the WouldBlock tick back.
-                        None => return Err(e),
-                        Some(d) if Instant::now() >= d => {
-                            return Err(std::io::Error::new(
-                                std::io::ErrorKind::TimedOut,
-                                "read deadline exceeded",
-                            ))
-                        }
-                        // Deadline pending: keep polling (the 25 ms socket
-                        // timeout paces this loop).
-                        Some(_) => {}
-                    }
-                }
-                r => return r,
-            }
-        }
-    }
 }
 
 /// What one graceful shutdown did.
@@ -380,25 +289,21 @@ pub struct DrainStats {
 pub struct ServerHandle {
     addr: SocketAddr,
     state: Arc<ServerState>,
-    backend: BackendImpl,
-}
-
-/// Backend-specific ownership inside [`ServerHandle`].
-#[derive(Debug)]
-enum BackendImpl {
-    Threaded {
-        accept_thread: Option<std::thread::JoinHandle<()>>,
-        conns: ConnRegistry,
-    },
-    Epoll(crate::reactor::EpollHandle),
+    accept_thread: Option<JoinHandle<()>>,
+    conns: ConnRegistry,
 }
 
 /// Live connections with their handler threads, pruned as they finish.
 type ConnRegistry = Arc<Mutex<Vec<(TcpStream, JoinHandle<()>)>>>;
 
+/// The registry's guard. Every update is one whole push or removal, so a
+/// handler spawn that panicked under the lock left the list valid.
+fn lock_registry(conns: &ConnRegistry) -> MutexGuard<'_, Vec<(TcpStream, JoinHandle<()>)>> {
+    conns.lock().unwrap_or_else(|p| p.into_inner())
+}
+
 /// Joins and removes every finished handler; returns how many remain.
-fn prune_finished(conns: &ConnRegistry) -> usize {
-    let mut reg = conns.lock().unwrap_or_else(|p| p.into_inner());
+fn prune_finished(reg: &mut Vec<(TcpStream, JoinHandle<()>)>) -> usize {
     let mut i = 0;
     while i < reg.len() {
         if reg[i].1.is_finished() {
@@ -456,16 +361,11 @@ impl ServerHandle {
             )
             .is_err()
         {
-            // Already draining or stopped; just make sure the backend's
-            // threads are gone.
-            match &mut self.backend {
-                BackendImpl::Threaded { accept_thread, .. } => {
-                    if let Some(t) = accept_thread.take() {
-                        let _ = TcpStream::connect(self.addr);
-                        let _ = t.join();
-                    }
-                }
-                BackendImpl::Epoll(h) => h.join_all(),
+            // Already draining or stopped; just make sure the accept
+            // thread is gone.
+            if let Some(t) = self.accept_thread.take() {
+                let _ = TcpStream::connect(self.addr);
+                let _ = t.join();
             }
             return DrainStats {
                 drain_ms: 0,
@@ -474,51 +374,35 @@ impl ServerHandle {
             };
         }
         self.state.obs.set_gauge("server.phase", 1.0);
-        let forced = match &mut self.backend {
-            BackendImpl::Threaded {
-                accept_thread,
-                conns,
-            } => {
-                // Unblock `accept` by connecting once; the loop re-checks
-                // the phase and exits.
-                let _ = TcpStream::connect(self.addr);
-                if let Some(t) = accept_thread.take() {
-                    let _ = t.join();
-                }
-                // Drain: handlers finish their in-flight request, answer
-                // new work with 503 + close, and exit; idle connections
-                // close within one poll tick.
-                let deadline = t0 + drain_deadline;
-                loop {
-                    if prune_finished(conns) == 0 {
-                        break;
-                    }
-                    if Instant::now() >= deadline {
-                        break;
-                    }
-                    std::thread::sleep(Duration::from_millis(2));
-                }
-                // Sever whatever outlived the deadline, then join uncon-
-                // ditionally: a severed socket errors the handler's next
-                // read/write.
-                prune_finished(conns);
-                let stragglers: Vec<(TcpStream, JoinHandle<()>)> = {
-                    let mut reg = conns.lock().unwrap_or_else(|p| p.into_inner());
-                    reg.drain(..).collect()
-                };
-                let mut forced = 0;
-                for (sock, _) in &stragglers {
-                    if sock.shutdown(Shutdown::Both).is_ok() {
-                        forced += 1;
-                    }
-                }
-                for (_, handle) in stragglers {
-                    let _ = handle.join();
-                }
-                forced
-            }
-            BackendImpl::Epoll(h) => h.drain(&self.state, t0 + drain_deadline),
+        // Unblock `accept` by connecting once; the loop re-checks the
+        // phase and exits.
+        let _ = TcpStream::connect(self.addr);
+        if let Some(t) = self.accept_thread.take() {
+            let _ = t.join();
+        }
+        // Drain: handlers finish their in-flight request, answer new work
+        // with 503 + close, and exit; idle connections close within one
+        // poll tick.
+        let deadline = t0 + drain_deadline;
+        while prune_finished(&mut lock_registry(&self.conns)) > 0 && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        // Sever whatever outlived the deadline, then join unconditionally:
+        // a severed socket errors the handler's next read/write.
+        let stragglers: Vec<(TcpStream, JoinHandle<()>)> = {
+            let mut reg = lock_registry(&self.conns);
+            prune_finished(&mut reg);
+            reg.drain(..).collect()
         };
+        let mut forced = 0;
+        for (sock, _) in &stragglers {
+            if sock.shutdown(Shutdown::Both).is_ok() {
+                forced += 1;
+            }
+        }
+        for (_, handle) in stragglers {
+            let _ = handle.join();
+        }
         self.state
             .phase
             .store(Phase::Stopped as u8, Ordering::SeqCst);
@@ -643,15 +527,6 @@ pub fn start(db: Arc<Database>, config: ServerConfig) -> std::io::Result<ServerH
         active_conns: AtomicUsize::new(0),
         drain_rejected: AtomicU64::new(0),
     });
-    if state.config.backend == Backend::Epoll {
-        let handle = crate::reactor::EpollHandle::start(listener, Arc::clone(&state))?;
-        return Ok(ServerHandle {
-            addr,
-            state,
-            backend: BackendImpl::Epoll(handle),
-        });
-    }
-
     let conns: ConnRegistry = Arc::new(Mutex::new(Vec::new()));
 
     let accept_state = Arc::clone(&state);
@@ -661,29 +536,21 @@ pub fn start(db: Arc<Database>, config: ServerConfig) -> std::io::Result<ServerH
             if accept_state.phase() != Phase::Live {
                 break;
             }
-            let stream = match stream {
-                Ok(s) => s,
-                Err(_) => continue,
-            };
+            let Ok(stream) = stream else { continue };
+            // Pruning first keeps the registry proportional to *live*
+            // connections, so its length is the count the cap applies to.
+            let mut reg = lock_registry(&accept_conns);
+            if prune_finished(&mut reg) >= accept_state.config.max_connections {
+                accept_state.obs.add("server.over_capacity", 1);
+                continue; // dropping the stream closes it
+            }
             let _ = stream.set_nodelay(true);
-            let clone = match stream.try_clone() {
-                Ok(c) => c,
-                Err(_) => continue,
+            let Ok(clone) = stream.try_clone() else {
+                continue;
             };
             let state = Arc::clone(&accept_state);
             let handle = std::thread::spawn(move || serve_connection(stream, &state));
-            // Register the handler so shutdown can join it; pruning here
-            // keeps the registry proportional to *live* connections.
-            let mut reg = accept_conns.lock().unwrap_or_else(|p| p.into_inner());
-            let mut i = 0;
-            while i < reg.len() {
-                if reg[i].1.is_finished() {
-                    let (_, h) = reg.swap_remove(i);
-                    let _ = h.join();
-                } else {
-                    i += 1;
-                }
-            }
+            // Registered so shutdown can sever and join it.
             reg.push((clone, handle));
         }
     });
@@ -691,37 +558,32 @@ pub fn start(db: Arc<Database>, config: ServerConfig) -> std::io::Result<ServerH
     Ok(ServerHandle {
         addr,
         state,
-        backend: BackendImpl::Threaded {
-            accept_thread: Some(accept_thread),
-            conns,
-        },
+        accept_thread: Some(accept_thread),
+        conns,
     })
 }
 
 /// Closes the connection for real when the handler exits.
-struct SocketCloser(TcpStream);
+struct SocketCloser<'a>(&'a TcpStream);
 
-impl Drop for SocketCloser {
+impl Drop for SocketCloser<'_> {
     fn drop(&mut self) {
         let _ = self.0.shutdown(Shutdown::Both);
     }
 }
 
-/// Outcome of waiting for the next request's first byte.
-enum IdleWait {
-    /// Bytes are buffered; parse them.
-    RequestArriving,
-    /// Close the connection (EOF, drain, idle timeout, stop, or error).
-    Close,
-}
-
 /// Keep-alive request loop over one connection, hardened against
-/// hostile clients: per-request read deadline, write timeout, request
-/// cap, and drain awareness.
+/// hostile clients: per-request read deadline, idle reaping, write
+/// timeout, request cap, and drain awareness.
 fn serve_connection(stream: TcpStream, state: &ServerState) {
     let _guard = ConnGuard::new(state);
-    // The short socket timeout is the poll tick every blocking read
-    // wakes on; TimedStream turns it into per-request deadlines.
+    // The drain registry holds a cloned fd for this connection, so the
+    // handler's stream dropping would not send FIN — `shutdown` reaches
+    // the socket itself, past every clone. Without it, a finished
+    // connection looks open to the peer until the next prune.
+    let _closer = SocketCloser(&stream);
+    // The short socket timeout is the poll tick every read wakes on to
+    // re-check the lifecycle phase and this connection's deadlines.
     if stream
         .set_read_timeout(Some(Duration::from_millis(POLL_MS)))
         .is_err()
@@ -731,109 +593,95 @@ fn serve_connection(stream: TcpStream, state: &ServerState) {
     let _ = stream.set_write_timeout(Some(Duration::from_millis(
         state.config.write_timeout_ms.max(1),
     )));
-    let mut write_half = match stream.try_clone() {
-        Ok(s) => s,
-        Err(_) => return,
-    };
-    // The drain registry holds a cloned fd for this connection, so the
-    // handler's own streams dropping would not send FIN — `shutdown`
-    // reaches the socket itself, past every clone. Without it, a
-    // finished connection looks open to the peer until the next prune.
-    let _closer = match write_half.try_clone() {
-        Ok(s) => SocketCloser(s),
-        Err(_) => return,
-    };
-    let deadline = Arc::new(Mutex::new(None));
-    let mut reader = BufReader::new(TimedStream {
-        inner: stream,
-        deadline: Arc::clone(&deadline),
-    });
-    let set_deadline = |d: Option<Instant>| {
-        *deadline.lock().unwrap_or_else(|p| p.into_inner()) = d;
-    };
+    let read_timeout = Duration::from_millis(state.config.read_timeout_ms.max(1));
+    let mut parser = RequestParser::new();
     let mut served = 0usize;
+    // When the connection last went idle: accepted, or a response written.
+    let mut idle_since = Instant::now();
+    // First buffered byte of the request being read: the request clock
+    // (HTTP parse is the first span of a captured trace) and the start of
+    // its read deadline. `None` while idle between requests.
+    let mut req_t0: Option<Instant> = None;
     loop {
-        match wait_for_request(&mut reader, state) {
-            IdleWait::Close => return,
-            IdleWait::RequestArriving => {}
-        }
-        // A request is arriving: it must complete within the read
-        // deadline, however slowly its bytes drip.
-        // The request clock starts at its first buffered byte; HTTP parse
-        // is the first span of a captured trace.
-        let req_t0 = Instant::now();
-        set_deadline(Some(
-            req_t0 + Duration::from_millis(state.config.read_timeout_ms.max(1)),
-        ));
-        let parsed = parse_request(&mut reader);
-        let parse_us = req_t0.elapsed().as_micros() as u64;
-        set_deadline(None);
-        served += 1;
-        let (response, keep_alive) = match parsed {
-            Ok(req) => handle_request(state, &req, served, req_t0, parse_us),
-            Err(HttpError::ConnectionClosed) => return,
-            Err(HttpError::Io(std::io::ErrorKind::TimedOut)) => {
-                // The read deadline expired mid-request: a slowloris (or
-                // a genuinely glacial client) — answer 408 and close.
-                state.obs.add("server.read_timeouts", 1);
-                (read_timeout_response(), false)
+        match parser.try_next() {
+            Ok(Some(req)) => {
+                let t0 = req_t0.take().unwrap_or_else(Instant::now);
+                let parse_us = t0.elapsed().as_micros() as u64;
+                served += 1;
+                let (response, keep_alive) = handle_request(state, &req, served, t0, parse_us);
+                if !write_response(state, &stream, &response, keep_alive) || !keep_alive {
+                    return;
+                }
+                idle_since = Instant::now();
+                if parser.mid_request() {
+                    // A pipelined request is already buffered: its clock
+                    // starts now.
+                    req_t0 = Some(idle_since);
+                }
+                continue;
             }
-            Err(HttpError::Io(_)) => return,
+            Ok(None) => {}
             Err(e) => {
                 state.obs.add("server.http_errors", 1);
-                (http_error_response(&e), false)
+                write_response(state, &stream, &http_error_response(&e), false);
+                return;
             }
-        };
-        if let Err(e) = response.write_to(&mut write_half, keep_alive) {
+        }
+        match req_t0 {
+            // Between requests nothing is in flight: a drain closes the
+            // connection at once.
+            None if state.phase() != Phase::Live => return,
+            None if idle_since.elapsed() >= read_timeout => {
+                state.obs.add("server.idle_reaped", 1);
+                return;
+            }
+            Some(t0) if t0.elapsed() >= read_timeout => {
+                // The read deadline expired mid-request: a slowloris (or a
+                // genuinely glacial client) — answer 408 and close.
+                state.obs.add("server.read_timeouts", 1);
+                write_response(state, &stream, &read_timeout_response(), false);
+                return;
+            }
+            _ => {}
+        }
+        match parser.read_from(&mut &stream) {
+            // EOF: a clean close, a truncated head, or a mid-body
+            // disconnect — reap, don't answer.
+            Ok(0) => return,
+            Ok(_) => {
+                req_t0.get_or_insert_with(Instant::now);
+            }
+            Err(e) if is_poll_timeout(&e) => {}
+            Err(_) => return,
+        }
+    }
+}
+
+/// Writes one response; false when the socket failed (a client that
+/// stopped reading past the write timeout is counted).
+fn write_response(
+    state: &ServerState,
+    mut stream: &TcpStream,
+    response: &Response,
+    keep_alive: bool,
+) -> bool {
+    match response.write_to(&mut stream, keep_alive) {
+        Ok(()) => true,
+        Err(e) => {
             if is_poll_timeout(&e) {
                 state.obs.add("server.write_timeouts", 1);
             }
-            return;
-        }
-        if !keep_alive {
-            return;
+            false
         }
     }
 }
 
-/// Waits (in poll ticks) until the next request's first byte is buffered,
-/// the peer closes, the server drains/stops, or the idle timeout passes.
-fn wait_for_request(reader: &mut BufReader<TimedStream>, state: &ServerState) -> IdleWait {
-    let idle_start = Instant::now();
-    let idle_limit = Duration::from_millis(state.config.read_timeout_ms.max(1));
-    loop {
-        match state.phase() {
-            Phase::Live => {}
-            // Between requests nothing is in flight: close immediately.
-            Phase::Draining | Phase::Stopped => {
-                // Unless bytes are already buffered — then a request is
-                // arriving and deserves its 503.
-                if reader.buffer().is_empty() {
-                    return IdleWait::Close;
-                }
-                return IdleWait::RequestArriving;
-            }
-        }
-        match reader.fill_buf() {
-            Ok([]) => return IdleWait::Close, // EOF
-            Ok(_) => return IdleWait::RequestArriving,
-            Err(e) if is_poll_timeout(&e) => {
-                if idle_start.elapsed() >= idle_limit {
-                    state.obs.add("server.idle_reaped", 1);
-                    return IdleWait::Close;
-                }
-            }
-            Err(_) => return IdleWait::Close,
-        }
-    }
-}
-
-/// Dispatches one parsed request through the lifecycle policy both
-/// backends share: drain rejection (with the health/metrics/debug
-/// exemption), the keep-alive decision (client wish ∧ per-connection
-/// request cap ∧ still live), and routing. `served` counts this request
-/// (i.e. it is already incremented). Returns `(response, keep_alive)`.
-pub(crate) fn handle_request(
+/// Dispatches one parsed request through the lifecycle policy: drain
+/// rejection (with the health/metrics/debug exemption), the keep-alive
+/// decision (client wish ∧ per-connection request cap ∧ still live), and
+/// routing. `served` counts this request (i.e. it is already
+/// incremented). Returns `(response, keep_alive)`.
+fn handle_request(
     state: &ServerState,
     req: &Request,
     served: usize,
@@ -862,7 +710,7 @@ pub(crate) fn handle_request(
 
 /// The `408` a slowloris (or genuinely glacial) request is answered with
 /// when its read deadline expires.
-pub(crate) fn read_timeout_response() -> Response {
+fn read_timeout_response() -> Response {
     ApiError::new(
         408,
         "request_timeout",
@@ -922,7 +770,7 @@ impl ApiError {
 }
 
 /// Maps an HTTP parse failure onto a 4xx.
-pub(crate) fn http_error_response(e: &HttpError) -> Response {
+fn http_error_response(e: &HttpError) -> Response {
     let (status, code) = match e {
         HttpError::BodyTooLarge(_) => (413, "body_too_large"),
         HttpError::HeadTooLarge => (431, "head_too_large"),

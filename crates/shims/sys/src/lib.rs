@@ -2,71 +2,15 @@
 //!
 //! A zero-dependency Linux syscall shim, in the spirit of the other
 //! vendored crates under `crates/shims/`: the build environment has no
-//! registry access, so the handful of raw syscalls the epoll serving
-//! backend needs (`epoll_create1`/`epoll_ctl`/`epoll_wait`, `eventfd`,
-//! `fcntl` non-blocking toggles, and `getrlimit`/`setrlimit` for the fd
-//! budget) are declared directly against the always-linked system libc
-//! and wrapped behind a safe API here.
-//!
-//! Design rules:
-//!
-//! * Every file descriptor this crate creates is an [`OwnedFd`] — closed
-//!   on drop, never leaked, never double-closed.
-//! * Every raw return code goes through [`cvt`], so failures surface as
-//!   `io::Error::last_os_error()` with the real errno.
-//! * No `unsafe` escapes the module: callers see [`Epoll`], [`EventFd`],
-//!   [`Interest`], [`Event`], and a few free functions.
-//!
-//! Linux-only by design (the serving tier targets Linux); the workspace's
-//! threaded backend remains the portable fallback.
+//! registry access, so the one raw syscall the daemons need — `signal`,
+//! to turn SIGTERM/SIGINT into a drain request — is declared directly
+//! against the always-linked system libc and wrapped behind a safe API
+//! here. No `unsafe` escapes the module.
 
 #![cfg(target_os = "linux")]
 
-use std::ffi::{c_int, c_uint, c_ulong, c_void};
+use std::ffi::c_int;
 use std::io;
-use std::os::fd::{AsRawFd, FromRawFd, OwnedFd, RawFd};
-use std::time::Duration;
-
-// ---------------------------------------------------------------------------
-// Raw libc surface. Constants are the x86_64/aarch64 Linux values (identical
-// on both for everything used here).
-// ---------------------------------------------------------------------------
-
-const EPOLL_CLOEXEC: c_int = 0o2000000;
-const EPOLL_CTL_ADD: c_int = 1;
-const EPOLL_CTL_DEL: c_int = 2;
-const EPOLL_CTL_MOD: c_int = 3;
-
-const EPOLLIN: u32 = 0x001;
-const EPOLLOUT: u32 = 0x004;
-const EPOLLERR: u32 = 0x008;
-const EPOLLHUP: u32 = 0x010;
-const EPOLLRDHUP: u32 = 0x2000;
-
-const EFD_CLOEXEC: c_int = 0o2000000;
-const EFD_NONBLOCK: c_int = 0o4000;
-
-const F_GETFL: c_int = 3;
-const F_SETFL: c_int = 4;
-const O_NONBLOCK: c_int = 0o4000;
-
-const RLIMIT_NOFILE: c_int = 7;
-
-/// `struct epoll_event`. The kernel ABI packs this to 12 bytes on x86_64
-/// and keeps natural alignment everywhere else — mirror glibc's layout.
-#[cfg_attr(target_arch = "x86_64", repr(C, packed))]
-#[cfg_attr(not(target_arch = "x86_64"), repr(C))]
-#[derive(Clone, Copy)]
-struct EpollEvent {
-    events: u32,
-    data: u64,
-}
-
-#[repr(C)]
-struct RLimit {
-    cur: c_ulong,
-    max: c_ulong,
-}
 
 const SIGINT: c_int = 2;
 const SIGTERM: c_int = 15;
@@ -75,220 +19,6 @@ const SIG_ERR: usize = usize::MAX;
 
 extern "C" {
     fn signal(signum: c_int, handler: usize) -> usize;
-    fn epoll_create1(flags: c_int) -> c_int;
-    fn epoll_ctl(epfd: c_int, op: c_int, fd: c_int, event: *mut EpollEvent) -> c_int;
-    fn epoll_wait(epfd: c_int, events: *mut EpollEvent, maxevents: c_int, timeout: c_int) -> c_int;
-    fn eventfd(initval: c_uint, flags: c_int) -> c_int;
-    fn fcntl(fd: c_int, cmd: c_int, ...) -> c_int;
-    fn read(fd: c_int, buf: *mut c_void, count: usize) -> isize;
-    fn write(fd: c_int, buf: *const c_void, count: usize) -> isize;
-    fn getrlimit(resource: c_int, rlim: *mut RLimit) -> c_int;
-    fn setrlimit(resource: c_int, rlim: *const RLimit) -> c_int;
-}
-
-/// Converts a `-1`-on-error return into `io::Error::last_os_error()`.
-fn cvt(ret: c_int) -> io::Result<c_int> {
-    if ret == -1 {
-        Err(io::Error::last_os_error())
-    } else {
-        Ok(ret)
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Safe API.
-// ---------------------------------------------------------------------------
-
-/// Which readiness a registration subscribes to. Read interest includes
-/// peer half-close (`EPOLLRDHUP`) so an idle keep-alive client hanging up
-/// wakes the reactor; `EPOLLERR`/`EPOLLHUP` are always delivered by the
-/// kernel regardless of interest.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Interest(u32);
-
-impl Interest {
-    /// No readiness (registration kept, e.g. while a request executes).
-    pub const NONE: Interest = Interest(0);
-    /// Readable (or peer closed its write half).
-    pub const READ: Interest = Interest(EPOLLIN | EPOLLRDHUP);
-    /// Writable.
-    pub const WRITE: Interest = Interest(EPOLLOUT);
-
-    /// The union of two interests.
-    pub fn with(self, other: Interest) -> Interest {
-        Interest(self.0 | other.0)
-    }
-}
-
-/// One readiness notification out of [`Epoll::wait`].
-#[derive(Debug, Clone, Copy)]
-pub struct Event {
-    /// The `token` the fd was registered with.
-    pub token: u64,
-    /// Read readiness (data buffered, or EOF observable).
-    pub readable: bool,
-    /// Write readiness.
-    pub writable: bool,
-    /// Error or hangup condition — treat the fd as dead.
-    pub error: bool,
-    /// The peer closed its write half (`EPOLLRDHUP`): reads will drain
-    /// remaining bytes then return 0.
-    pub read_closed: bool,
-}
-
-/// A level-triggered epoll instance owning its fd.
-#[derive(Debug)]
-pub struct Epoll {
-    fd: OwnedFd,
-    raw: Vec<EpollEvent>,
-    out: Vec<Event>,
-}
-
-impl std::fmt::Debug for EpollEvent {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let (events, data) = (self.events, self.data);
-        write!(f, "EpollEvent {{ events: {events:#x}, data: {data} }}")
-    }
-}
-
-impl Epoll {
-    /// A new epoll instance sized to report up to `capacity` events per
-    /// [`Epoll::wait`] call.
-    pub fn with_capacity(capacity: usize) -> io::Result<Epoll> {
-        let fd = cvt(unsafe { epoll_create1(EPOLL_CLOEXEC) })?;
-        Ok(Epoll {
-            fd: unsafe { OwnedFd::from_raw_fd(fd) },
-            raw: vec![EpollEvent { events: 0, data: 0 }; capacity.max(1)],
-            out: Vec::with_capacity(capacity.max(1)),
-        })
-    }
-
-    fn ctl(&self, op: c_int, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
-        let mut ev = EpollEvent {
-            events: interest.0,
-            data: token,
-        };
-        cvt(unsafe { epoll_ctl(self.fd.as_raw_fd(), op, fd, &mut ev) })?;
-        Ok(())
-    }
-
-    /// Registers `fd` under `token` with the given interest.
-    pub fn add(&self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
-        self.ctl(EPOLL_CTL_ADD, fd, token, interest)
-    }
-
-    /// Changes an existing registration's interest (token may change too).
-    pub fn modify(&self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
-        self.ctl(EPOLL_CTL_MOD, fd, token, interest)
-    }
-
-    /// Removes a registration. Harmless to call right before closing the
-    /// fd (close would drop it implicitly, but explicit keeps the set's
-    /// bookkeeping honest under fd reuse).
-    pub fn delete(&self, fd: RawFd) -> io::Result<()> {
-        let mut ev = EpollEvent { events: 0, data: 0 };
-        cvt(unsafe { epoll_ctl(self.fd.as_raw_fd(), EPOLL_CTL_DEL, fd, &mut ev) })?;
-        Ok(())
-    }
-
-    /// Blocks until readiness or `timeout` (`None` = indefinitely),
-    /// returning the ready events. A signal interruption returns an empty
-    /// slice — callers are loops and simply re-wait.
-    pub fn wait(&mut self, timeout: Option<Duration>) -> io::Result<&[Event]> {
-        let timeout_ms: c_int = match timeout {
-            None => -1,
-            // Round up so a 0.5 ms deadline does not become a busy-loop.
-            Some(d) => d.as_millis().saturating_add(1).min(c_int::MAX as u128) as c_int,
-        };
-        let n = unsafe {
-            epoll_wait(
-                self.fd.as_raw_fd(),
-                self.raw.as_mut_ptr(),
-                self.raw.len() as c_int,
-                timeout_ms,
-            )
-        };
-        let n = match cvt(n) {
-            Ok(n) => n as usize,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => 0,
-            Err(e) => return Err(e),
-        };
-        self.out.clear();
-        for ev in &self.raw[..n] {
-            let (events, data) = (ev.events, ev.data);
-            self.out.push(Event {
-                token: data,
-                readable: events & EPOLLIN != 0,
-                writable: events & EPOLLOUT != 0,
-                error: events & (EPOLLERR | EPOLLHUP) != 0,
-                read_closed: events & EPOLLRDHUP != 0,
-            });
-        }
-        Ok(&self.out)
-    }
-}
-
-/// A non-blocking eventfd: a cross-thread doorbell for waking a reactor
-/// parked in [`Epoll::wait`]. `notify` is cheap and safe from any thread;
-/// the owning reactor registers it readable and [`EventFd::drain`]s on
-/// wakeup.
-#[derive(Debug)]
-pub struct EventFd {
-    fd: OwnedFd,
-}
-
-impl EventFd {
-    /// A fresh counter at zero.
-    pub fn new() -> io::Result<EventFd> {
-        let fd = cvt(unsafe { eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK) })?;
-        Ok(EventFd {
-            fd: unsafe { OwnedFd::from_raw_fd(fd) },
-        })
-    }
-
-    /// The raw fd, for epoll registration.
-    pub fn raw_fd(&self) -> RawFd {
-        self.fd.as_raw_fd()
-    }
-
-    /// Rings the doorbell. A saturated counter (`EAGAIN`) already has a
-    /// wakeup pending, so the error is deliberately ignored.
-    pub fn notify(&self) {
-        let one: u64 = 1;
-        unsafe {
-            write(
-                self.fd.as_raw_fd(),
-                &one as *const u64 as *const c_void,
-                std::mem::size_of::<u64>(),
-            );
-        }
-    }
-
-    /// Consumes all pending wakeups; returns true when at least one was
-    /// pending.
-    pub fn drain(&self) -> bool {
-        let mut value: u64 = 0;
-        let n = unsafe {
-            read(
-                self.fd.as_raw_fd(),
-                &mut value as *mut u64 as *mut c_void,
-                std::mem::size_of::<u64>(),
-            )
-        };
-        n == std::mem::size_of::<u64>() as isize && value > 0
-    }
-}
-
-/// Sets or clears `O_NONBLOCK` on any fd via `fcntl`.
-pub fn set_nonblocking(fd: RawFd, nonblocking: bool) -> io::Result<()> {
-    let flags = cvt(unsafe { fcntl(fd, F_GETFL) })?;
-    let flags = if nonblocking {
-        flags | O_NONBLOCK
-    } else {
-        flags & !O_NONBLOCK
-    };
-    cvt(unsafe { fcntl(fd, F_SETFL, flags) })?;
-    Ok(())
 }
 
 /// The flag [`install_termination_flag`] arms. A static is the only
@@ -320,108 +50,10 @@ pub fn termination_requested() -> bool {
     TERMINATION_REQUESTED.load(std::sync::atomic::Ordering::SeqCst)
 }
 
-/// The process's `RLIMIT_NOFILE` as `(soft, hard)`.
-pub fn nofile_limit() -> io::Result<(u64, u64)> {
-    let mut lim = RLimit { cur: 0, max: 0 };
-    cvt(unsafe { getrlimit(RLIMIT_NOFILE, &mut lim) })?;
-    Ok((lim.cur, lim.max))
-}
-
-/// Raises the soft `RLIMIT_NOFILE` toward `min(target, hard)`; returns
-/// the resulting soft limit. Never lowers.
-pub fn raise_nofile_limit(target: u64) -> io::Result<u64> {
-    let (soft, hard) = nofile_limit()?;
-    let wanted = target.min(hard);
-    if wanted <= soft {
-        return Ok(soft);
-    }
-    let lim = RLimit {
-        cur: wanted as c_ulong,
-        max: hard as c_ulong,
-    };
-    cvt(unsafe { setrlimit(RLIMIT_NOFILE, &lim) })?;
-    Ok(wanted)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::{Read as _, Write as _};
-    use std::net::{TcpListener, TcpStream};
-
-    #[test]
-    fn eventfd_notifies_and_drains() {
-        let efd = EventFd::new().unwrap();
-        assert!(!efd.drain(), "fresh eventfd must be empty");
-        efd.notify();
-        efd.notify();
-        assert!(efd.drain(), "two notifies coalesce into one pending wakeup");
-        assert!(!efd.drain(), "drain consumes the counter");
-    }
-
-    #[test]
-    fn epoll_reports_eventfd_readiness_and_timeouts() {
-        let mut ep = Epoll::with_capacity(8).unwrap();
-        let efd = EventFd::new().unwrap();
-        ep.add(efd.raw_fd(), 7, Interest::READ).unwrap();
-        // Nothing pending: a short wait times out empty.
-        let events = ep.wait(Some(Duration::from_millis(5))).unwrap();
-        assert!(events.is_empty());
-        efd.notify();
-        let events = ep.wait(Some(Duration::from_millis(1000))).unwrap();
-        assert_eq!(events.len(), 1);
-        assert_eq!(events[0].token, 7);
-        assert!(events[0].readable);
-        // Level-triggered: still readable until drained.
-        let events = ep.wait(Some(Duration::from_millis(5))).unwrap();
-        assert_eq!(events.len(), 1);
-        efd.drain();
-        let events = ep.wait(Some(Duration::from_millis(5))).unwrap();
-        assert!(events.is_empty());
-        ep.delete(efd.raw_fd()).unwrap();
-    }
-
-    #[test]
-    fn epoll_drives_a_nonblocking_socket_pair() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let mut ep = Epoll::with_capacity(8).unwrap();
-        ep.add(listener.as_raw_fd(), 1, Interest::READ).unwrap();
-
-        let mut client = TcpStream::connect(addr).unwrap();
-        let events = ep.wait(Some(Duration::from_millis(1000))).unwrap();
-        assert!(events.iter().any(|e| e.token == 1 && e.readable));
-
-        let (mut server_side, _) = listener.accept().unwrap();
-        set_nonblocking(server_side.as_raw_fd(), true).unwrap();
-        let mut buf = [0u8; 16];
-        let err = server_side.read(&mut buf).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::WouldBlock);
-
-        ep.add(server_side.as_raw_fd(), 2, Interest::READ).unwrap();
-        client.write_all(b"ping").unwrap();
-        let events = ep.wait(Some(Duration::from_millis(1000))).unwrap();
-        assert!(events.iter().any(|e| e.token == 2 && e.readable));
-        assert_eq!(server_side.read(&mut buf).unwrap(), 4);
-
-        // Interest can be narrowed to none and restored.
-        ep.modify(server_side.as_raw_fd(), 2, Interest::NONE)
-            .unwrap();
-        client.write_all(b"x").unwrap();
-        let events = ep.wait(Some(Duration::from_millis(20))).unwrap();
-        assert!(events.iter().all(|e| e.token != 2));
-        ep.modify(server_side.as_raw_fd(), 2, Interest::READ)
-            .unwrap();
-        let events = ep.wait(Some(Duration::from_millis(1000))).unwrap();
-        assert!(events.iter().any(|e| e.token == 2 && e.readable));
-
-        // Peer close surfaces as read_closed/readable (EOF drains as 0).
-        drop(client);
-        let events = ep.wait(Some(Duration::from_millis(1000))).unwrap();
-        let ev = events.iter().find(|e| e.token == 2).unwrap();
-        assert!(ev.readable || ev.read_closed || ev.error);
-        ep.delete(server_side.as_raw_fd()).unwrap();
-    }
+    use std::time::Duration;
 
     #[test]
     fn termination_flag_arms_on_sigterm() {
@@ -439,16 +71,5 @@ mod tests {
             std::thread::sleep(Duration::from_millis(5));
         }
         assert!(termination_requested(), "SIGTERM should set the flag");
-    }
-
-    #[test]
-    fn nofile_limits_are_queryable_and_raise_is_monotone() {
-        let (soft, hard) = nofile_limit().unwrap();
-        assert!(soft > 0 && hard >= soft);
-        // Raising to the current soft limit is a no-op returning it.
-        assert_eq!(raise_nofile_limit(soft).unwrap(), soft);
-        // Raising toward the hard limit never exceeds it.
-        let raised = raise_nofile_limit(hard + 1024).unwrap();
-        assert!(raised <= hard);
     }
 }

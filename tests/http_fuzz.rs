@@ -1,45 +1,34 @@
-//! Differential fuzz of the incremental HTTP parser against the blocking
-//! one.
+//! Fragmentation fuzz of the one HTTP request parser.
 //!
-//! The epoll backend parses requests from arbitrary read fragments via
-//! `RequestParser`; the threaded backend parses blocking streams via
-//! `parse_request`. The serving contract is that fragmentation is
-//! *invisible*: for any byte stream and any way of slicing it, the
-//! incremental parser must yield byte-identical requests and the
-//! identical typed error the one-shot parser produces on the whole
-//! stream. This suite proves it three ways:
+//! Every connection — the server's and the cluster router's — feeds
+//! `RequestParser` whatever fragment each socket read returns. The
+//! serving contract is that fragmentation is *invisible*: for any byte
+//! stream and any way of slicing it, the parser must yield byte-identical
+//! requests and the identical typed error it produces when the whole
+//! stream arrives in one feed. This suite proves it three ways:
 //!
 //! 1. a corpus of valid, malformed, pipelined, and oversized streams,
 //!    each replayed **split at every byte boundary**;
 //! 2. seeded proptest multi-splits (0–8 cut points) over the corpus;
 //! 3. seeded proptest byte soup, sliced randomly.
 //!
-//! EOF equivalence: when a stream ends short, the one-shot parser
-//! reports `ConnectionClosed` (head) or `Io(UnexpectedEof)` (body); the
-//! incremental side reports the same via `eof_error()`.
+//! EOF rule: when a stream ends short, the parser's `eof_error()` is the
+//! terminal result — `ConnectionClosed` (head, or a clean end between
+//! requests) or `Io(UnexpectedEof)` (body).
 
-use cqp_server::http::{parse_request, HttpError, Request, RequestParser, MAX_HEAD_BYTES};
+use cqp_server::http::{HttpError, Request, RequestParser, MAX_HEAD_BYTES};
 use proptest::prelude::*;
-use std::io::Cursor;
 
-/// Ground truth: run the blocking parser over the whole stream until it
-/// errors (EOF is `ConnectionClosed` at minimum), collecting every
-/// pipelined request before the terminal error.
-fn oracle(input: &[u8]) -> (Vec<Request>, HttpError) {
-    let mut reader = Cursor::new(input);
-    let mut requests = Vec::new();
-    loop {
-        match parse_request(&mut reader) {
-            Ok(r) => requests.push(r),
-            Err(e) => return (requests, e),
-        }
-    }
+/// Ground truth: the whole stream in one feed, every pipelined request
+/// collected up to the terminal error.
+fn whole_feed(input: &[u8]) -> (Vec<Request>, HttpError) {
+    fragmented(input, &[])
 }
 
-/// The incremental side: feed the stream sliced at `cuts` (positions are
-/// clamped, deduped), pumping after every fragment, then apply the EOF
-/// rule. Must equal [`oracle`] exactly.
-fn incremental(input: &[u8], cuts: &[usize]) -> (Vec<Request>, HttpError) {
+/// Feeds the stream sliced at `cuts` (positions are clamped, deduped),
+/// pumping after every fragment, then applies the EOF rule. Must equal
+/// [`whole_feed`] exactly.
+fn fragmented(input: &[u8], cuts: &[usize]) -> (Vec<Request>, HttpError) {
     let mut points: Vec<usize> = cuts.iter().map(|&c| c.min(input.len())).collect();
     points.push(0);
     points.push(input.len());
@@ -60,10 +49,10 @@ fn incremental(input: &[u8], cuts: &[usize]) -> (Vec<Request>, HttpError) {
     (requests, parser.eof_error())
 }
 
-/// Asserts oracle == incremental for one slicing.
+/// Asserts whole feed == fragmented feed for one slicing.
 fn check(input: &[u8], cuts: &[usize]) {
-    let want = oracle(input);
-    let got = incremental(input, cuts);
+    let want = whole_feed(input);
+    let got = fragmented(input, cuts);
     assert_eq!(
         want,
         got,
@@ -170,9 +159,9 @@ fn corpus_streams_agree_at_every_byte_split() {
 fn valid_corpus_actually_parses_and_malformed_actually_fails() {
     // Guards the corpus itself: a typo'd "valid" entry that errors (or a
     // "malformed" one that cleanly EOFs after full requests) would
-    // silently weaken the differential.
+    // silently weaken the fragmentation check.
     for input in valid_corpus() {
-        let (requests, terminal) = oracle(&input);
+        let (requests, terminal) = whole_feed(&input);
         assert!(
             !requests.is_empty(),
             "{:?}",
@@ -181,10 +170,10 @@ fn valid_corpus_actually_parses_and_malformed_actually_fails() {
         assert_eq!(terminal, HttpError::ConnectionClosed);
     }
     for input in malformed_corpus() {
-        let (_, terminal) = oracle(&input);
+        let (_, terminal) = whole_feed(&input);
         assert!(
             !matches!(terminal, HttpError::ConnectionClosed)
-                || oracle(&input).0.is_empty()
+                || whole_feed(&input).0.is_empty()
                 || input.ends_with(b"ab")
                 || input.ends_with(b"abc"),
             "unexpectedly clean: {:?}",
@@ -256,7 +245,7 @@ proptest! {
     }
 
     /// Byte soup: arbitrary bytes, arbitrary slicing. Usually an error
-    /// stream — the point is that both parsers report the *same* one.
+    /// stream — the point is that every slicing reports the *same* one.
     #[test]
     fn byte_soup_agrees_under_random_multi_splits(
         words in proptest::collection::vec(0u16..256, 0..1200),

@@ -8,8 +8,7 @@
 //! store as recovering once.
 
 use cqp_datagen::{generate_movie_db, MovieDbConfig};
-use cqp_server::http::parse_response;
-use cqp_server::{start, Backend, ServerConfig, SessionStore, UpsertMode};
+use cqp_server::{SessionStore, UpsertMode};
 use cqp_storage::{Catalog, Database};
 use proptest::prelude::*;
 use rand::splitmix64_mix as splitmix64;
@@ -289,79 +288,6 @@ fn crash_between_snapshot_rename_and_log_truncation_never_regresses() {
         );
     }
     std::fs::remove_dir_all(&dir).unwrap();
-}
-
-/// Upserts one profile through a live server socket; panics on non-200.
-fn socket_upsert(addr: std::net::SocketAddr, user: &str, text: &str) {
-    use std::io::Write;
-    let payload = format!(
-        "POST /profiles/{user} HTTP/1.1\r\nhost: t\r\nconnection: close\r\n\
-         content-length: {}\r\n\r\n{text}",
-        text.len()
-    );
-    let mut stream = std::net::TcpStream::connect(addr).expect("connect");
-    stream.write_all(payload.as_bytes()).expect("write");
-    let resp = parse_response(&mut std::io::BufReader::new(stream)).expect("response");
-    assert_eq!(resp.status, 200, "upsert {user}: {}", resp.body_text());
-}
-
-/// WAL durability is backend-independent: a burst written through real
-/// sockets against either serving backend leaves a log that (a) recovers
-/// to the exact reference store, and (b) a server on the *other* backend
-/// can adopt mid-stream — versions continue, and the final recovered
-/// store equals the single-store reference for the whole op sequence.
-#[test]
-fn wal_written_through_either_backend_recovers_identically() {
-    let db = std::sync::Arc::new(db());
-    let catalog = db.catalog();
-    let seed = 0xEB011;
-    let ops = 12;
-    let split = 7; // ops 0..split on the first backend, the rest on the other
-
-    for (first, second) in [
-        (Backend::Threaded, Backend::Epoll),
-        (Backend::Epoll, Backend::Threaded),
-    ] {
-        let dir = tmpdir(&format!("xbackend-{}", first.as_str()));
-        let config = |backend| ServerConfig {
-            backend,
-            wal_dir: Some(dir.clone()),
-            ..ServerConfig::default()
-        };
-
-        let mut server = start(db.clone(), config(first)).expect("first server");
-        for i in 0..split {
-            let (user, text) = burst_op(seed, i as u64);
-            socket_upsert(server.addr(), &user, &text);
-        }
-        server.stop();
-
-        // Cold recovery of the half-written log matches the reference.
-        let (store, report) = SessionStore::recover(4, &dir, catalog).expect("recover");
-        assert_eq!(report.records_replayed(), split as u64);
-        assert_eq!(report.torn_tail_bytes, 0, "graceful stop leaves no tear");
-        assert_eq!(store.dump(catalog), reference_dump(catalog, seed, split));
-        drop(store);
-
-        // The other backend adopts the same WAL dir and continues it.
-        let mut server = start(db.clone(), config(second)).expect("second server");
-        for i in split..ops {
-            let (user, text) = burst_op(seed, i as u64);
-            socket_upsert(server.addr(), &user, &text);
-        }
-        server.stop();
-
-        let (store, report) = SessionStore::recover(4, &dir, catalog).expect("re-recover");
-        assert_eq!(report.records_replayed(), ops as u64);
-        assert_eq!(
-            store.dump(catalog),
-            reference_dump(catalog, seed, ops),
-            "{} then {}: recovered store diverged from reference",
-            first.as_str(),
-            second.as_str()
-        );
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
 }
 
 proptest! {

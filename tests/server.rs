@@ -394,6 +394,28 @@ fn malformed_requests_get_typed_4xx_never_500() {
     );
     let resp = raw(addr, oversized.as_bytes());
     assert_eq!(resp.status, 413);
+    let raw_cases: [(&[u8], &str); 6] = [
+        (b"GET nopath HTTP/1.1\r\n\r\n", "bad_request"),
+        (b"GET / HTTP/9.9\r\n\r\n", "bad_request"),
+        (
+            b"POST /personalize HTTP/1.1\r\ncontent-length: nan\r\n\r\n",
+            "bad_request",
+        ),
+        (
+            b"GET /healthz HTTP/1.1\r\nbroken header line\r\n\r\n",
+            "bad_request",
+        ),
+        (
+            b"POST /profiles/al HTTP/1.1\r\nconnection: close\r\ncontent-length: 7\r\n\r\nnot the",
+            "bad_profile",
+        ),
+        (b"\x00\x01\x02\x03\r\n\r\n", "bad_request"),
+    ];
+    for (payload, code) in raw_cases {
+        let resp = raw(addr, payload);
+        assert_eq!(resp.status, 400, "{:?}", String::from_utf8_lossy(payload));
+        assert_eq!(error_code(&resp), code);
+    }
 
     // After all that abuse: still healthy, nothing panicked, no 500 was
     // ever minted.
