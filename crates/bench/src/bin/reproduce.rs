@@ -670,14 +670,12 @@ fn bench_par(w: &Workload, ks: &[usize], full_k: bool, threads: usize, out: &Pat
         }
         println!(
             "{:>2} thread(s): {:>8.1} req/s  p50 {:>6} us  p95 {:>6} us  p99 {:>6} us  \
-             cache {}h/{}m  steals {}",
+             steals {}",
             t,
             stats_t.requests_per_sec,
             stats_t.p50_us,
             stats_t.p95_us,
             stats_t.p99_us,
-            stats_t.cache_hits,
-            stats_t.cache_misses,
             stats_t.steals
         );
         reports.push(
@@ -712,8 +710,6 @@ fn bench_par(w: &Workload, ks: &[usize], full_k: bool, threads: usize, out: &Pat
                     ("p50_us", Json::from(s.p50_us)),
                     ("p95_us", Json::from(s.p95_us)),
                     ("p99_us", Json::from(s.p99_us)),
-                    ("cache_hits", Json::from(s.cache_hits)),
-                    ("cache_misses", Json::from(s.cache_misses)),
                     ("steals", Json::from(s.steals)),
                 ])
             })
@@ -930,9 +926,6 @@ fn serve(w: &Workload, threads: usize, out: &Path) {
         seed: 42,
         users,
         queries: queries.clone(),
-        // c_boundaries routes its cost evaluations through the driver's
-        // persistent submit cache, so the cache counters in the report
-        // carry signal.
         algorithms: vec![
             "c_boundaries".to_string(),
             "c_maxbounds".to_string(),
@@ -993,16 +986,12 @@ fn serve(w: &Workload, threads: usize, out: &Path) {
 
     let state = handle.state();
     let (admitted, rejected, timed_out) = state.gate.counters();
-    let (cache_hits, cache_misses, cache_evictions) = state.driver.submit_cache_counters();
     let panics_caught = state.driver.submit_panics();
     assert_eq!(panics_caught, 0, "serving path caught panics");
     let server_json = Json::obj(vec![
         ("admitted", Json::from(admitted)),
         ("rejected", Json::from(rejected)),
         ("queue_timeouts", Json::from(timed_out)),
-        ("cache_hits", Json::from(cache_hits)),
-        ("cache_misses", Json::from(cache_misses)),
-        ("cache_evictions", Json::from(cache_evictions)),
         ("panics_caught", Json::from(panics_caught)),
     ]);
     let obs_report = cqp_obs::RunReport::from_obs("serve", "load", &state.obs)
@@ -1283,7 +1272,7 @@ fn obs_experiment(w: &Workload, threads: usize, out: &Path) {
         .iter()
         .map(|(_, sample_every, _)| boot(*sample_every))
         .collect();
-    // Warmup each: populate the submit cache and the allocator.
+    // Warmup each: populate the answer cache and the allocator.
     for (handle, users) in &servers {
         cqp_server::run_load(handle.addr(), &load_config(users.clone(), 0, 5)).expect("warmup");
     }

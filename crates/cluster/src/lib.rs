@@ -8,7 +8,7 @@
 //! ([`start_router`]) places users on groups with a consistent-hash
 //! [`Ring`], sends writes to primaries (no retry — failover instead),
 //! and routes reads *divergently*: each canonical SQL template class is
-//! pinned to one replica so that replica's answer/cost caches stay warm
+//! pinned to one replica so that replica's answer cache stays warm
 //! for it, instead of every replica paying every cold miss.
 //!
 //! Five layers:

@@ -17,8 +17,8 @@
 //!   replicas of a group hold the same sessions, so reads can go to
 //!   either. Under [`RoutingPolicy::Divergent`] the router classifies the
 //!   request by its canonical SQL template ([`canonicalize_sql`]) and
-//!   pins each template class to one replica: the replica's answer and
-//!   cost caches stay warm for *its* templates instead of every replica
+//!   pins each template class to one replica: the replica's answer
+//!   cache stays warm for *its* templates instead of every replica
 //!   paying cold misses for every template. [`RoutingPolicy::Uniform`]
 //!   alternates replicas and is kept as the control arm the bench
 //!   compares against. Reads retry once on the other replica, which is
@@ -52,7 +52,7 @@ use std::time::Duration;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RoutingPolicy {
     /// Pin each canonical SQL template class to one replica so its answer
-    /// and cost caches stay warm for that class.
+    /// cache stays warm for that class.
     Divergent,
     /// Alternate replicas per read — the control arm: every replica sees
     /// every template and pays every cold miss.

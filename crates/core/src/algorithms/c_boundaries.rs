@@ -18,7 +18,7 @@ use super::find_max_doi::c_find_max_doi;
 use super::prune::Pruner;
 use super::Solution;
 use crate::budget::CancelToken;
-use crate::cost_cache::{CacheHandle, SharedCostCache};
+use crate::cost_cache::CostCache;
 use crate::instrument::Instrument;
 use crate::spaces::SpaceView;
 use crate::state::State;
@@ -43,31 +43,16 @@ pub fn solve_recorded(
     cmax_blocks: u64,
     recorder: &dyn Recorder,
 ) -> Solution {
-    solve_cached(space, conj, cmax_blocks, recorder, None)
-}
-
-/// [`solve_recorded`] with an optional batch-wide [`SharedCostCache`]:
-/// when given, phase 1 memoizes state costs through it so concurrent
-/// requests over the same preference space reuse each other's evaluations.
-/// Cached costs are exact, so the answer is identical either way.
-pub fn solve_cached(
-    space: &PreferenceSpace,
-    conj: ConjModel,
-    cmax_blocks: u64,
-    recorder: &dyn Recorder,
-    shared: Option<&SharedCostCache>,
-) -> Solution {
     solve_budgeted(
         space,
         conj,
         cmax_blocks,
         recorder,
-        shared,
         &CancelToken::unlimited(),
     )
 }
 
-/// [`solve_cached`] polling `token` in both phases; on a trip the phase
+/// [`solve_recorded`] polling `token` in both phases; on a trip the phase
 /// stops where it is and the best incumbent reachable from the boundaries
 /// found so far is returned (the dispatcher tags it degraded).
 pub fn solve_budgeted(
@@ -75,15 +60,11 @@ pub fn solve_budgeted(
     conj: ConjModel,
     cmax_blocks: u64,
     recorder: &dyn Recorder,
-    shared: Option<&SharedCostCache>,
     token: &CancelToken,
 ) -> Solution {
     let view = SpaceView::cost(space, conj);
     let eval = view.eval();
-    let mut cache = match shared {
-        Some(c) => CacheHandle::shared(c, &view),
-        None => CacheHandle::local(),
-    };
+    let mut cache = CostCache::new();
 
     let mut p1 = Instrument::new();
     let boundaries = {
@@ -120,29 +101,19 @@ pub fn solve_budgeted(
 pub fn find_boundary(view: &SpaceView<'_>, cmax: u64, inst: &mut Instrument) -> Vec<State> {
     // "Costs that may be re-used are cached" (Section 5.2.1): states
     // re-reached through different transition sequences skip re-evaluation.
-    let mut cache = CacheHandle::local();
-    find_boundary_cached(view, cmax, inst, &mut cache)
+    let mut cache = CostCache::new();
+    find_boundary_bounded(view, cmax, inst, &mut cache, &CancelToken::unlimited())
 }
 
-/// [`find_boundary`] against a caller-provided cost cache (local or
-/// batch-shared).
-pub fn find_boundary_cached(
-    view: &SpaceView<'_>,
-    cmax: u64,
-    inst: &mut Instrument,
-    cache: &mut CacheHandle<'_>,
-) -> Vec<State> {
-    find_boundary_bounded(view, cmax, inst, cache, &CancelToken::unlimited())
-}
-
-/// [`find_boundary_cached`] polling `token` once per dequeued state. On a
-/// trip the queue is abandoned: the boundaries found so far are returned,
-/// each of which already satisfies the cost constraint.
+/// [`find_boundary`] against a caller-provided cost cache, polling `token`
+/// once per dequeued state. On a trip the queue is abandoned: the
+/// boundaries found so far are returned, each of which already satisfies
+/// the cost constraint.
 pub fn find_boundary_bounded(
     view: &SpaceView<'_>,
     cmax: u64,
     inst: &mut Instrument,
-    cache: &mut CacheHandle<'_>,
+    cache: &mut CostCache,
     token: &CancelToken,
 ) -> Vec<State> {
     let mut boundaries: Vec<State> = Vec::new();
@@ -192,7 +163,7 @@ pub fn find_boundary_bounded(
         // Boundary bytes are part of pruner.bytes().
         inst.observe_bytes(rq_bytes + pruner.bytes() + cache.bytes());
     }
-    cache.absorb_into(inst);
+    inst.absorb_cache(cache);
     boundaries
 }
 
@@ -278,6 +249,13 @@ mod tests {
             assert_eq!(sol.doi, oracle.doi, "cmax={cmax}");
             assert!(
                 sol.cost_blocks <= cmax.max(space.base_cost_blocks),
+                "cmax={cmax}"
+            );
+            // FINDBOUNDARY costs each state once: the visited set never
+            // queues a state twice, so the memo never serves a hit.
+            assert_eq!(sol.instrument.cache_hits, 0, "cmax={cmax}");
+            assert_eq!(
+                sol.instrument.cache_misses, sol.instrument.states_examined,
                 "cmax={cmax}"
             );
         }

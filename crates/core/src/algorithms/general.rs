@@ -66,14 +66,7 @@ pub fn solve_bounded(
     // instead of panicking).
     if problem.kind() == Some(ProblemKind::P2) {
         if let Some(cmax) = problem.constraints.cost_max_blocks {
-            return c_boundaries::solve_budgeted(
-                space,
-                conj,
-                cmax,
-                &cqp_obs::NoopRecorder,
-                None,
-                token,
-            );
+            return c_boundaries::solve_budgeted(space, conj, cmax, &cqp_obs::NoopRecorder, token);
         }
     }
     match problem.objective {

@@ -238,34 +238,17 @@ pub fn solve_p2_recorded(
     algorithm: Algorithm,
     recorder: &dyn Recorder,
 ) -> Solution {
-    solve_p2_cached(space, conj, cmax_blocks, algorithm, recorder, None)
-}
-
-/// [`solve_p2_recorded`] with an optional batch-wide
-/// [`SharedCostCache`](crate::cost_cache::SharedCostCache). Only
-/// C-BOUNDARIES evaluates state costs through a cache, so it alone consults
-/// it; every other algorithm ignores the argument. Cached costs are exact —
-/// the answer is identical with or without sharing.
-pub fn solve_p2_cached(
-    space: &PreferenceSpace,
-    conj: ConjModel,
-    cmax_blocks: u64,
-    algorithm: Algorithm,
-    recorder: &dyn Recorder,
-    shared: Option<&crate::cost_cache::SharedCostCache>,
-) -> Solution {
     solve_p2_budgeted(
         space,
         conj,
         cmax_blocks,
         algorithm,
         recorder,
-        shared,
         &CancelToken::unlimited(),
     )
 }
 
-/// [`solve_p2_cached`] under a [`CancelToken`]: every state-space loop polls
+/// [`solve_p2_recorded`] under a [`CancelToken`]: every state-space loop polls
 /// the token, and if it trips the solution returned is the best-so-far
 /// incumbent tagged [`Solution::degraded`]. The generic baselines
 /// (annealing/tabu/genetic) run a fixed iteration budget of their own and
@@ -276,7 +259,6 @@ pub fn solve_p2_budgeted(
     cmax_blocks: u64,
     algorithm: Algorithm,
     recorder: &dyn Recorder,
-    shared: Option<&crate::cost_cache::SharedCostCache>,
     token: &CancelToken,
 ) -> Solution {
     let span = span_guard(recorder, algorithm.name());
@@ -288,7 +270,7 @@ pub fn solve_p2_budgeted(
             token,
         ),
         Algorithm::CBoundaries => {
-            c_boundaries::solve_budgeted(space, conj, cmax_blocks, recorder, shared, token)
+            c_boundaries::solve_budgeted(space, conj, cmax_blocks, recorder, token)
         }
         Algorithm::CMaxBounds => {
             c_maxbounds::solve_budgeted(space, conj, cmax_blocks, recorder, token)

@@ -10,25 +10,21 @@
 //! * each request runs the full pipeline (preference space → search →
 //!   construction) on whichever worker claims it, under a per-worker
 //!   tracer span so `\trace` output keeps one subtree per worker;
-//! * cost evaluations of the boundary search flow through one
-//!   [`SharedCostCache`] (sharded, `Mutex`-per-shard), so concurrent
-//!   requests over the same preference space reuse each other's work — the
-//!   batch-level generalization of the paper's Section 5.2.1 cost memo;
+//! * every request is searched through [`CqpSystem::search_warm_recorded`],
+//!   the same dispatch an in-process caller uses, so each search keeps its
+//!   own Section 5.2.1 cost memo and nothing is shared between requests;
 //! * per-request latencies land in a [`Histogram`], reported as
 //!   p50/p95/p99 plus throughput in [`BatchStats`].
 //!
 //! Results are deterministic: the pool returns results in request order,
-//! every algorithm is deterministic, and shared-cache hits return exactly
-//! the cost a private evaluation would compute — so `threads = N` is
-//! bit-identical to `threads = 1` (verified in `tests/parallel.rs`).
+//! and every algorithm is deterministic — so `threads = N` is bit-identical
+//! to `threads = 1` (verified in `tests/parallel.rs`).
 
-use crate::algorithms::{exhaustive, solve_p2_budgeted, Algorithm, Solution};
+use crate::algorithms::{exhaustive, Algorithm, Solution};
 use crate::answer_cache::{AnswerCache, CachedAnswer, FamilyKey, Lookup, VariantKey};
-use crate::budget::CancelToken;
 use crate::construct::construct;
-use crate::cost_cache::{EvictionPolicy, SharedCostCache};
 use crate::error::CqpError;
-use crate::problem::{ProblemKind, ProblemSpec};
+use crate::problem::ProblemSpec;
 use crate::solver::{CqpSystem, SolverConfig, SolverError};
 use cqp_engine::{execute_personalized, ConjunctiveQuery};
 use cqp_obs::metrics::Histogram;
@@ -129,10 +125,6 @@ pub struct BatchStats {
     pub p95_us: u64,
     /// 99th percentile latency, microseconds.
     pub p99_us: u64,
-    /// Shared cost-cache hits across the batch.
-    pub cache_hits: u64,
-    /// Shared cost-cache misses (actual evaluations).
-    pub cache_misses: u64,
     /// Tasks migrated between workers by stealing.
     pub steals: u64,
     /// Execution retries across the batch (transient failures that were
@@ -153,7 +145,6 @@ pub struct BatchDriver {
     db: Arc<Database>,
     stats: Arc<DbStats>,
     threads: usize,
-    cache_shards: usize,
     /// `Some(ms_per_block)` executes each personalized query after
     /// construction, metering its I/O.
     execution_ms_per_block: Option<f64>,
@@ -165,12 +156,6 @@ pub struct BatchDriver {
     /// Shared with the serving layer so `/metrics` and readiness can see
     /// the same state the driver sheds on.
     breaker: Option<Arc<crate::breaker::CircuitBreaker>>,
-    /// The cache [`BatchDriver::submit`] routes cost evaluations through.
-    /// Unlike `run`'s per-batch cache this one is *persistent*: a serving
-    /// front-end submits requests one at a time over a long lifetime, and
-    /// hot preference spaces should stay warm across them. LRU-bounded so
-    /// the footprint cannot grow without bound.
-    submit_cache: SharedCostCache,
     /// Panics caught (and converted to [`CqpError::Internal`]) on the
     /// `submit` path, across the driver's lifetime.
     submit_panics: AtomicU64,
@@ -225,9 +210,6 @@ impl CacheTier {
     }
 }
 
-/// Default total capacity of the persistent `submit` cost cache.
-pub const SUBMIT_CACHE_CAPACITY: usize = 64 * 1024;
-
 impl BatchDriver {
     /// A driver over `db` with `threads` workers; analyzes the database
     /// once, up front.
@@ -238,21 +220,14 @@ impl BatchDriver {
 
     /// [`BatchDriver::new`] with precomputed statistics.
     pub fn with_stats(db: Arc<Database>, stats: Arc<DbStats>, threads: usize) -> Self {
-        let shards = crate::cost_cache::DEFAULT_SHARDS;
         BatchDriver {
             db,
             stats,
             threads: threads.max(1),
-            cache_shards: shards,
             execution_ms_per_block: None,
             fault_plan: None,
             retry: RetryPolicy::default(),
             breaker: None,
-            submit_cache: SharedCostCache::with_capacity_policy(
-                shards,
-                SUBMIT_CACHE_CAPACITY,
-                EvictionPolicy::Lru,
-            ),
             submit_panics: AtomicU64::new(0),
             submit_retries: AtomicU64::new(0),
             answer_cache: None,
@@ -268,14 +243,6 @@ impl BatchDriver {
     /// The installed answer cache, when one exists.
     pub fn answer_cache(&self) -> Option<&Arc<AnswerCache>> {
         self.answer_cache.as_ref()
-    }
-
-    /// Replaces the persistent `submit`-path cost cache with one of
-    /// `capacity` total entries under `policy`.
-    pub fn with_submit_cache(mut self, policy: EvictionPolicy, capacity: usize) -> Self {
-        self.submit_cache =
-            SharedCostCache::with_capacity_policy(self.cache_shards, capacity, policy);
-        self
     }
 
     /// Execute each personalized query after construction, metering I/O at
@@ -342,7 +309,6 @@ impl BatchDriver {
     ) -> (Vec<Result<BatchItemResult, SolverError>>, BatchStats) {
         let n = requests.len();
         let pool = ThreadPool::new(self.threads);
-        let cache = SharedCostCache::new(self.cache_shards);
         let db = &self.db;
         let stats = &self.stats;
         let retries = AtomicU64::new(0);
@@ -353,17 +319,9 @@ impl BatchDriver {
             let t = Instant::now();
             let _worker = span_guard(recorder, ctx.span_name);
             // A panicking request must not take the batch down: convert it
-            // to an Internal error and keep serving. The pipeline holds no
-            // locks or shared mutable state across the catch boundary (the
-            // cost cache recovers poisoned shards itself), so resuming is
-            // sound.
-            let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                serve_one(db, stats, &cache, &req, recorder, self, &retries)
-            }))
-            .unwrap_or_else(|payload| {
-                panics.fetch_add(1, Ordering::Relaxed);
-                recorder.add("batch.panics_caught", 1);
-                Err(CqpError::Internal(panic_message(payload.as_ref())))
+            // to an Internal error and keep serving.
+            let r = catch_panic(&panics, recorder, || {
+                serve_one(db, stats, &req, recorder, self, &retries)
             });
             let latency_us = t.elapsed().as_micros() as u64;
             recorder.observe("batch.latency_us", latency_us);
@@ -400,8 +358,6 @@ impl BatchDriver {
             p50_us: latencies.quantile(0.50),
             p95_us: latencies.quantile(0.95),
             p99_us: latencies.quantile(0.99),
-            cache_hits: cache.hits(),
-            cache_misses: cache.misses(),
             steals: pool.steals(),
             retries: retries.load(Ordering::Relaxed),
             degraded,
@@ -409,8 +365,6 @@ impl BatchDriver {
             panics_caught: panics.load(Ordering::Relaxed),
         };
         recorder.add("batch.requests", n as u64);
-        recorder.add("batch.cache_hits", stats.cache_hits);
-        recorder.add("batch.cache_misses", stats.cache_misses);
         recorder.add("batch.steals", stats.steals);
         recorder.add("batch.degraded", stats.degraded);
         recorder.add("batch.errors", stats.errors);
@@ -425,9 +379,7 @@ impl BatchDriver {
     /// the request's [`Budget`](crate::budget::Budget) (deadline /
     /// state cap) bounds the search, panics are caught and converted to
     /// [`CqpError::Internal`], and transient execution failures retry
-    /// under the driver's [`RetryPolicy`]. Cost evaluations flow through
-    /// the driver's *persistent* submit cache (LRU by default), so a
-    /// stream of requests over hot preference spaces keeps reusing work.
+    /// under the driver's [`RetryPolicy`].
     pub fn submit(&self, req: BatchRequest) -> Result<BatchItemResult, SolverError> {
         self.submit_recorded(req, &NoopRecorder)
     }
@@ -444,59 +396,15 @@ impl BatchDriver {
         // so a per-request trace can separate "time inside the driver" from
         // the serving tier's own queueing and session work.
         let _dispatch = span_guard(recorder, "dispatch");
-        if let Some(breaker) = &self.breaker {
-            if let Err(retry_after_ms) = breaker.try_acquire() {
-                recorder.add("batch.breaker_shed", 1);
-                if recorder.is_enabled() {
-                    recorder.event(&format!(
-                        "breaker open: shed before dispatch (retry after {retry_after_ms} ms)"
-                    ));
-                }
-                return Err(CqpError::CircuitOpen { retry_after_ms });
-            }
-        }
-        let t = Instant::now();
-        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        self.guarded(Instant::now(), recorder, || {
             serve_one(
                 &self.db,
                 &self.stats,
-                &self.submit_cache,
                 &req,
                 recorder,
                 self,
                 &self.submit_retries,
             )
-        }))
-        .unwrap_or_else(|payload| {
-            self.submit_panics.fetch_add(1, Ordering::Relaxed);
-            recorder.add("batch.panics_caught", 1);
-            Err(CqpError::Internal(panic_message(payload.as_ref())))
-        });
-        let latency_us = t.elapsed().as_micros() as u64;
-        recorder.observe("batch.latency_us", latency_us);
-        if r.is_err() {
-            recorder.add("batch.errors", 1);
-        }
-        if let Some(breaker) = &self.breaker {
-            // Only transient faults indict downstream health; client
-            // faults and successes both count as "healthy".
-            let failed_transiently = matches!(&r, Err(e) if e.is_transient());
-            breaker.record(!failed_transiently, recorder);
-        }
-        r.map(|mut item| {
-            item.latency_us = latency_us;
-            if let Some(d) = &item.solution.degraded {
-                recorder.add("batch.degraded", 1);
-                if recorder.is_enabled() {
-                    recorder.event(&format!(
-                        "degraded: {} after {} states in {:?}",
-                        d.reason.name(),
-                        d.states_visited,
-                        d.elapsed
-                    ));
-                }
-            }
-            item
         })
     }
 
@@ -561,18 +469,7 @@ impl BatchDriver {
             Lookup::Repair { .. } => CacheTier::Repair,
             _ => CacheTier::Miss,
         };
-        if let Some(breaker) = &self.breaker {
-            if let Err(retry_after_ms) = breaker.try_acquire() {
-                recorder.add("batch.breaker_shed", 1);
-                if recorder.is_enabled() {
-                    recorder.event(&format!(
-                        "breaker open: shed before dispatch (retry after {retry_after_ms} ms)"
-                    ));
-                }
-                return Err(CqpError::CircuitOpen { retry_after_ms });
-            }
-        }
-        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        self.guarded(t, recorder, || {
             let _span = span_guard(recorder, "personalize");
             let system = CqpSystem::from_parts(&self.db, (*self.stats).clone());
             let (space, seed) = match lookup {
@@ -606,7 +503,6 @@ impl BatchDriver {
             };
             let item = finish_on_space(
                 &self.db,
-                &self.submit_cache,
                 &req,
                 recorder,
                 self,
@@ -630,18 +526,40 @@ impl BatchDriver {
                 },
             );
             Ok(item)
-        }))
-        .unwrap_or_else(|payload| {
-            self.submit_panics.fetch_add(1, Ordering::Relaxed);
-            recorder.add("batch.panics_caught", 1);
-            Err(CqpError::Internal(panic_message(payload.as_ref())))
-        });
+        })
+        .map(|item| (item, tier))
+    }
+
+    /// The tail both `submit*` paths share: sheds the request while the
+    /// breaker is open, runs `pipeline` with a panic converted to
+    /// [`CqpError::Internal`], then stamps the latency measured from `t`,
+    /// feeds the outcome to the breaker and reports a degraded answer.
+    fn guarded(
+        &self,
+        t: Instant,
+        recorder: &dyn Recorder,
+        pipeline: impl FnOnce() -> Result<BatchItemResult, SolverError>,
+    ) -> Result<BatchItemResult, SolverError> {
+        if let Some(breaker) = &self.breaker {
+            if let Err(retry_after_ms) = breaker.try_acquire() {
+                recorder.add("batch.breaker_shed", 1);
+                if recorder.is_enabled() {
+                    recorder.event(&format!(
+                        "breaker open: shed before dispatch (retry after {retry_after_ms} ms)"
+                    ));
+                }
+                return Err(CqpError::CircuitOpen { retry_after_ms });
+            }
+        }
+        let r = catch_panic(&self.submit_panics, recorder, pipeline);
         let latency_us = t.elapsed().as_micros() as u64;
         recorder.observe("batch.latency_us", latency_us);
         if r.is_err() {
             recorder.add("batch.errors", 1);
         }
         if let Some(breaker) = &self.breaker {
+            // Only transient faults indict downstream health; client
+            // faults and successes both count as "healthy".
             let failed_transiently = matches!(&r, Err(e) if e.is_transient());
             breaker.record(!failed_transiently, recorder);
         }
@@ -658,7 +576,7 @@ impl BatchDriver {
                     ));
                 }
             }
-            (item, tier)
+            item
         })
     }
 
@@ -671,15 +589,21 @@ impl BatchDriver {
     pub fn submit_retries(&self) -> u64 {
         self.submit_retries.load(Ordering::Relaxed)
     }
+}
 
-    /// Hit/miss/eviction totals of the persistent `submit` cache.
-    pub fn submit_cache_counters(&self) -> (u64, u64, u64) {
-        (
-            self.submit_cache.hits(),
-            self.submit_cache.misses(),
-            self.submit_cache.evictions(),
-        )
-    }
+/// Runs one request's pipeline, converting a panic into
+/// [`CqpError::Internal`] counted in `panics`. The pipeline holds no locks
+/// or shared mutable state across the catch boundary, so resuming is sound.
+fn catch_panic(
+    panics: &AtomicU64,
+    recorder: &dyn Recorder,
+    pipeline: impl FnOnce() -> Result<BatchItemResult, SolverError>,
+) -> Result<BatchItemResult, SolverError> {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(pipeline)).unwrap_or_else(|payload| {
+        panics.fetch_add(1, Ordering::Relaxed);
+        recorder.add("batch.panics_caught", 1);
+        Err(CqpError::Internal(panic_message(payload.as_ref())))
+    })
 }
 
 /// Renders a panic payload into the human-readable part of
@@ -694,15 +618,13 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// One request's pipeline: preference space → search (through the shared
-/// cost cache where the algorithm supports it, under the request's budget)
-/// → query construction → optional metered execution with
+/// One request's pipeline: preference space → search (under the request's
+/// budget) → query construction → optional metered execution with
 /// retry-on-transient-failure. The returned item's `latency_us` is 0; the
 /// caller stamps it (latency includes the catch_unwind wrapper).
 fn serve_one(
     db: &Database,
     stats: &DbStats,
-    cache: &SharedCostCache,
     req: &BatchRequest,
     recorder: &dyn Recorder,
     driver: &BatchDriver,
@@ -716,7 +638,6 @@ fn serve_one(
     };
     finish_on_space(
         db,
-        cache,
         req,
         recorder,
         driver,
@@ -735,7 +656,6 @@ fn serve_one(
 #[allow(clippy::too_many_arguments)]
 fn finish_on_space(
     db: &Database,
-    cache: &SharedCostCache,
     req: &BatchRequest,
     recorder: &dyn Recorder,
     driver: &BatchDriver,
@@ -752,29 +672,7 @@ fn finish_on_space(
     }
     let solution = {
         let _s = span_guard(recorder, "search");
-        // P2 through the cache-aware dispatcher: C-BOUNDARIES shares cost
-        // evaluations batch-wide, everything else is unchanged. A P2-shaped
-        // spec missing its cost bound takes the facade path like any other
-        // problem.
-        let cached_p2 = (req.problem.kind() == Some(ProblemKind::P2)
-            && req.config.algorithm != Algorithm::BranchBound)
-            .then_some(req.problem.constraints.cost_max_blocks)
-            .flatten();
-        match cached_p2 {
-            Some(cmax) => {
-                let token = CancelToken::for_budget(&req.config.budget);
-                solve_p2_budgeted(
-                    space,
-                    req.config.conj,
-                    cmax,
-                    req.config.algorithm,
-                    recorder,
-                    Some(cache),
-                    &token,
-                )
-            }
-            None => system.search_warm_recorded(space, &req.problem, &req.config, warm, recorder),
-        }
+        system.search_warm_recorded(space, &req.problem, &req.config, warm, recorder)
     };
     let pq = {
         let _s = span_guard(recorder, "construct");
@@ -930,9 +828,6 @@ mod tests {
             assert!(r.space_k >= 1, "request {i}");
             assert!(r.solution.cost_blocks <= if i % 2 == 0 { 100 } else { 15 });
         }
-        // C-BOUNDARIES requests repeat the same space: the shared cache
-        // must serve hits across requests.
-        assert!(stats.cache_hits + stats.cache_misses > 0);
     }
 
     #[test]
@@ -967,10 +862,6 @@ mod tests {
             assert_eq!(got.pref_dois, expected.pref_dois);
             assert_eq!(got.pref_dois.len(), got.solution.prefs.len());
         }
-        // The persistent submit cache saw traffic; the repeated spaces of
-        // the paper workload must produce hits across submits.
-        let (hits, misses, _) = driver.submit_cache_counters();
-        assert!(hits + misses > 0);
         assert_eq!(driver.submit_panics(), 0);
     }
 
@@ -1150,6 +1041,36 @@ mod tests {
             .unwrap();
         assert_eq!(tier, CacheTier::Miss);
         assert!(full.solution.degraded.is_none());
+    }
+
+    #[test]
+    fn submit_paths_trace_both_c_boundaries_phases_under_dispatch() {
+        use crate::answer_cache::AnswerCache;
+        let db = Arc::new(movie_db());
+        let mut req = paper_requests(&db, 1).remove(0);
+        req.config.algorithm = Algorithm::CBoundaries;
+        let cache_req = CacheRequest {
+            template_hash: 5,
+            profile_key: "u".into(),
+            profile_version: 1,
+        };
+        let plain = BatchDriver::new(Arc::clone(&db), 1);
+        let cached =
+            BatchDriver::new(Arc::clone(&db), 1).with_answer_cache(Arc::new(AnswerCache::new()));
+        let plain_obs = cqp_obs::Obs::new();
+        plain.submit_recorded(req.clone(), &plain_obs).unwrap();
+        let cached_obs = cqp_obs::Obs::new();
+        let (_, tier) = cached
+            .submit_cached_recorded(req, &cache_req, &cached_obs)
+            .unwrap();
+        assert_eq!(tier, CacheTier::Miss);
+        for obs in [&plain_obs, &cached_obs] {
+            let spans = obs.with_tracer(|t| t.spans());
+            for phase in ["find_boundaries", "find_max_doi"] {
+                let path = format!("dispatch.personalize.search.C_Boundaries.{phase}");
+                assert!(spans.iter().any(|s| s.path == path), "no span {path}");
+            }
+        }
     }
 
     #[test]

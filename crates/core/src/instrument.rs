@@ -30,8 +30,6 @@ pub struct Instrument {
     pub cache_hits: u64,
     /// Cost-cache misses (state costs actually evaluated).
     pub cache_misses: u64,
-    /// Cost-cache evictions (entries dropped by a bounded cache).
-    pub cache_evictions: u64,
     /// Peak tracked memory in bytes (queues + boundary lists + visited set),
     /// the quantity Figure 13 reports in KBytes.
     pub peak_bytes: usize,
@@ -60,7 +58,6 @@ impl Instrument {
     pub fn absorb_cache(&mut self, cache: &crate::cost_cache::CostCache) {
         self.cache_hits += cache.hits();
         self.cache_misses += cache.misses();
-        self.cache_evictions += cache.evictions();
     }
 
     /// Accumulates another run's counters into this one (summing work,
@@ -73,7 +70,6 @@ impl Instrument {
         self.boundaries_found += other.boundaries_found;
         self.cache_hits += other.cache_hits;
         self.cache_misses += other.cache_misses;
-        self.cache_evictions += other.cache_evictions;
         self.peak_bytes = self.peak_bytes.max(other.peak_bytes);
     }
 
@@ -91,7 +87,6 @@ impl Instrument {
         recorder.add("solver.boundaries_found", self.boundaries_found);
         recorder.add("solver.cache_hits", self.cache_hits);
         recorder.add("solver.cache_misses", self.cache_misses);
-        recorder.add("solver.cache_evictions", self.cache_evictions);
         recorder.observe("solver.peak_bytes", self.peak_bytes as u64);
     }
 }

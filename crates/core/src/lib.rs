@@ -75,7 +75,6 @@ pub mod prelude {
     pub use crate::breaker::{BreakerConfig, BreakerState, CircuitBreaker};
     pub use crate::budget::{Budget, CancelToken, DegradeReason, DegradedInfo};
     pub use crate::context::{Connection, Device, Intent, PolicyConfig, SearchContext};
-    pub use crate::cost_cache::{EvictionPolicy, SharedCostCache};
     pub use crate::error::CqpError;
     pub use crate::instrument::Instrument;
     pub use crate::params::QueryParams;

@@ -348,7 +348,6 @@ impl<'a> CqpSystem<'a> {
                     cmax,
                     config.algorithm,
                     recorder,
-                    None,
                     &token,
                 );
             }

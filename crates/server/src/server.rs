@@ -76,10 +76,6 @@ pub struct ServerConfig {
     pub seed_users: usize,
     /// Base seed for profile seeding.
     pub seed: u64,
-    /// Cost-cache eviction policy for the submit path.
-    pub cache_policy: EvictionPolicy,
-    /// Cost-cache total capacity (entries).
-    pub cache_capacity: usize,
     /// Whether the cross-request answer cache (exact/warm/repair reuse
     /// tiers) is enabled on the dispatch path.
     pub answer_cache: bool,
@@ -145,10 +141,6 @@ impl Default for ServerConfig {
             store_shards: 8,
             seed_users: 0,
             seed: 42,
-            // LRU: a serving cache lives across requests, so recency —
-            // not insertion age — predicts reuse.
-            cache_policy: EvictionPolicy::Lru,
-            cache_capacity: cqp_core::batch::SUBMIT_CACHE_CAPACITY,
             answer_cache: true,
             answer_cache_capacity: cqp_core::answer_cache::DEFAULT_FAMILY_CAPACITY,
             default_deadline_ms: None,
@@ -205,7 +197,7 @@ impl Phase {
 pub struct ServerState {
     /// The shared database.
     pub db: Arc<Database>,
-    /// The solver driver (persistent LRU submit cache).
+    /// The solver driver.
     pub driver: BatchDriver,
     /// Per-user profiles (WAL-backed when `config.wal_dir` is set).
     /// Shared with the replication apply thread on followers.
@@ -436,9 +428,7 @@ pub fn start(db: Arc<Database>, config: ServerConfig) -> std::io::Result<ServerH
     let answer_cache = config
         .answer_cache
         .then(|| Arc::new(AnswerCache::with_capacity(config.answer_cache_capacity)));
-    let mut driver = BatchDriver::new(Arc::clone(&db), 1)
-        .with_submit_cache(config.cache_policy, config.cache_capacity)
-        .with_breaker(Arc::clone(&breaker));
+    let mut driver = BatchDriver::new(Arc::clone(&db), 1).with_breaker(Arc::clone(&breaker));
     if let Some(cache) = &answer_cache {
         driver = driver.with_answer_cache(Arc::clone(cache));
     }
@@ -1129,37 +1119,6 @@ fn metrics(state: &ServerState) -> Response {
         "Profile reads for unknown users.",
         misses,
     );
-    let (cache_hits, cache_misses, cache_evictions) = state.driver.submit_cache_counters();
-    w.family(
-        "cqp_cache_events_total",
-        "Submit cost-cache events by kind.",
-        "counter",
-    );
-    w.sample(
-        "cqp_cache_events_total",
-        &[("kind", "hit")],
-        cache_hits as f64,
-    );
-    w.sample(
-        "cqp_cache_events_total",
-        &[("kind", "miss")],
-        cache_misses as f64,
-    );
-    w.sample(
-        "cqp_cache_events_total",
-        &[("kind", "eviction")],
-        cache_evictions as f64,
-    );
-    w.family(
-        "cqp_cache_policy",
-        "Active submit-cache eviction policy (info-style, value is 1).",
-        "gauge",
-    );
-    w.sample(
-        "cqp_cache_policy",
-        &[("policy", state.driver_cache_policy())],
-        1.0,
-    );
     if let Some(cache) = state.driver.answer_cache() {
         let c = cache.counters();
         w.family(
@@ -1380,12 +1339,6 @@ fn metrics(state: &ServerState) -> Response {
     // Everything the solver/engine recorded through Obs, under `cqp_`.
     render_registry(state.obs.registry(), "cqp_", &mut w);
     Response::text_with_type(200, w.finish(), TEXT_CONTENT_TYPE)
-}
-
-impl ServerState {
-    fn driver_cache_policy(&self) -> &'static str {
-        self.config.cache_policy.name()
-    }
 }
 
 /// `POST /admin/promote` — promotes this replica to primary at a higher

@@ -47,6 +47,7 @@
 //! writes only a prefix of its frame and returns an error, exactly what a
 //! mid-write crash leaves behind.
 
+use cqp_core::answer_cache::{fnv1a, FNV_OFFSET};
 use cqp_obs::Json;
 use cqp_storage::{FaultPlan, WriteOutcome};
 use std::fs::{File, OpenOptions};
@@ -468,13 +469,6 @@ impl Wal {
     }
 }
 
-/// FNV-1a 64 — the shared workspace hash ([`cqp_core::answer_cache::fnv1a`]),
-/// the same stable function the session store shards and the answer cache
-/// key with.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    cqp_core::answer_cache::fnv1a(cqp_core::answer_cache::FNV_OFFSET, bytes)
-}
-
 /// Encodes one put record as a full frame (including the trailing `\n`).
 /// The epoch stamp is omitted at epoch 0 so pre-epoch readers (and
 /// byte-for-byte comparisons against seed-format logs) see the original
@@ -493,7 +487,7 @@ fn encode_put(user: &str, version: u64, profile_text: &str, epoch: u64) -> Vec<u
     let mut frame = format!(
         "{MAGIC} {} {:016x} ",
         payload.len(),
-        fnv1a(payload.as_bytes())
+        fnv1a(FNV_OFFSET, payload.as_bytes())
     )
     .into_bytes();
     frame.extend_from_slice(payload.as_bytes());
@@ -511,7 +505,7 @@ pub fn encode_epoch(epoch: u64) -> Vec<u8> {
     let mut frame = format!(
         "{EPOCH_MAGIC} {} {:016x} ",
         payload.len(),
-        fnv1a(payload.as_bytes())
+        fnv1a(FNV_OFFSET, payload.as_bytes())
     )
     .into_bytes();
     frame.extend_from_slice(payload.as_bytes());
@@ -536,7 +530,7 @@ pub fn decode_wal_frame(buf: &[u8], offset: usize) -> Option<(WalFrame, usize)> 
     let len: usize = parts.next()?.parse().ok()?;
     let checksum = u64::from_str_radix(parts.next()?, 16).ok()?;
     let payload = parts.next()?;
-    if payload.len() != len || fnv1a(payload.as_bytes()) != checksum {
+    if payload.len() != len || fnv1a(FNV_OFFSET, payload.as_bytes()) != checksum {
         return None;
     }
     let json = crate::json::parse(payload).ok()?;
@@ -803,7 +797,7 @@ mod tests {
         let frame = format!(
             "{MAGIC} {} {:016x} {payload}\n",
             payload.len(),
-            fnv1a(payload.as_bytes())
+            fnv1a(FNV_OFFSET, payload.as_bytes())
         );
         std::fs::write(dir.join(LOG_FILE), frame).unwrap();
         let opened = Wal::open(&dir).unwrap();

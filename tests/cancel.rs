@@ -164,7 +164,6 @@ fn unlimited_budget_is_never_tagged_degraded() {
             120,
             algo,
             &NoopRecorder,
-            None,
             &CancelToken::unlimited(),
         );
         assert!(sol.degraded.is_none(), "{}", algo.name());
@@ -177,15 +176,7 @@ fn state_budget_trips_with_state_limit_reason() {
     let space = wide_space(18);
     for algo in ALL_P2_SEARCHERS {
         let token = CancelToken::for_budget(&Budget::with_max_states(3));
-        let sol = solve_p2_budgeted(
-            &space,
-            ConjModel::NoisyOr,
-            150,
-            algo,
-            &NoopRecorder,
-            None,
-            &token,
-        );
+        let sol = solve_p2_budgeted(&space, ConjModel::NoisyOr, 150, algo, &NoopRecorder, &token);
         if let Some(d) = sol.degraded {
             assert_eq!(d.reason, DegradeReason::StateLimit, "{}", algo.name());
             assert!(d.states_visited > 3, "{}", algo.name());
@@ -213,7 +204,6 @@ fn degraded_solutions_stay_feasible_and_below_the_oracle() {
                 cmax,
                 algo,
                 &NoopRecorder,
-                None,
                 &token,
             );
             if sol.found {
@@ -245,7 +235,6 @@ fn external_flag_cancels_with_cancelled_reason() {
         150,
         Algorithm::DMaxDoi,
         &NoopRecorder,
-        None,
         &token,
     );
     let d = sol.degraded.expect("flagged token must degrade");
@@ -271,7 +260,6 @@ fn empty_preference_space_is_served_not_panicked() {
         50,
         Algorithm::CBoundaries,
         &NoopRecorder,
-        None,
         &token,
     );
     assert!(!sol.found);

@@ -73,7 +73,6 @@ proptest! {
                 cmax,
                 algo,
                 &NoopRecorder,
-                None,
                 &CancelToken::unlimited(),
             );
             prop_assert_eq!(&budgeted.prefs, &legacy.prefs, "{} prefs", algo.name());
@@ -97,7 +96,6 @@ proptest! {
                 cmax,
                 algo,
                 &NoopRecorder,
-                None,
                 &CancelToken::unlimited(),
             );
             prop_assert_eq!(sol.doi, oracle.doi, "{} at cmax={}", algo.name(), cmax);
@@ -120,7 +118,6 @@ proptest! {
                 cmax,
                 algo,
                 &NoopRecorder,
-                None,
                 &CancelToken::unlimited(),
             );
             if sol.found {
